@@ -15,14 +15,13 @@ from .bayes import (
     update_posterior,
 )
 from .pipeline import (
-    FrameWindowState,
     OutOfOrderFrameError,
     StreamConfig,
     StreamEvent,
+    StreamFold,
     StreamSchemaError,
+    fold_lines,
     process_stream,
-    push_frame,
-    reset_window,
 )
 from .training import (
     Phase,
@@ -52,7 +51,6 @@ from .backends import (
     ExternalBackend,
     MemorizingBackend,
     ProtocolError,
-    ScriptedAccuracyBackend,
 )
 
 __version__ = "0.1.0"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import shlex
 import subprocess
-from typing import Dict, List, Mapping, Optional, Protocol, Sequence, Tuple
+from typing import Dict, Protocol, Sequence, Tuple
 
 PROTOCOL_VERSION = 1
 
@@ -56,53 +56,6 @@ class MemorizingBackend:
             uniform = 1.0 / len(self.labels)
             return {l: uniform for l in self.labels}
         return _one_hot(self.labels, label)
-
-
-class ScriptedAccuracyBackend:
-    """Hits a scripted accuracy on a known truth table, per training round.
-
-    After the r-th call to train(), accuracy follows ``schedule[r-1]``
-    (clamped to the last entry). The wrong predictions are the first
-    ``round((1-acc)*m)`` refs in sorted order, answered with the next label
-    cyclically, so refeed contents are fully predictable.
-    """
-
-    def __init__(
-        self,
-        truth: Mapping[str, str],
-        labels: Sequence[str],
-        schedule: Sequence[float],
-    ):
-        if not schedule:
-            raise ValueError("schedule must be non-empty")
-        self.truth = dict(truth)
-        self.labels = list(labels)
-        self.schedule = list(schedule)
-        self.train_calls = 0
-        self._ordered_refs = sorted(self.truth)
-
-    def train(self, items: Sequence[LabeledItem]) -> int:
-        self.train_calls += 1
-        return len(items)
-
-    def _current_accuracy(self) -> float:
-        index = min(max(self.train_calls, 1), len(self.schedule)) - 1
-        return self.schedule[index]
-
-    def wrong_refs(self) -> List[str]:
-        wrong_count = round((1.0 - self._current_accuracy()) * len(self._ordered_refs))
-        return self._ordered_refs[:wrong_count]
-
-    def predict(self, ref: str) -> Dict[str, float]:
-        true_label = self.truth.get(ref)
-        if true_label is None:
-            raise BackendError(f"unknown ref {ref!r}")
-        if ref in self.wrong_refs():
-            position = self.labels.index(true_label)
-            chosen = self.labels[(position + 1) % len(self.labels)]
-        else:
-            chosen = true_label
-        return _one_hot(self.labels, chosen)
 
 
 class ExternalBackend:

@@ -13,7 +13,8 @@ import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
-DEFAULT_DEGENERACY_EPSILON = 1e-4
+# Every category below this chained posterior marks the window degenerate.
+DEGENERACY_EPSILON = 1e-4
 DEFAULT_HORIZON_CAP = 1000
 
 # Chained posteriors collapse toward zero for long windows; empirically the
@@ -48,10 +49,6 @@ class CategoryDistribution:
             _check_score(f"score[{label}]", value)
         object.__setattr__(self, "scores", dict(self.scores))
 
-    @property
-    def labels(self) -> frozenset:
-        return frozenset(self.scores)
-
 
 @dataclass(frozen=True)
 class ClassifierProfile:
@@ -70,29 +67,23 @@ class ClassifierProfile:
             )
 
 
-@dataclass(frozen=True)
+@dataclass
 class PosteriorState:
     """Chained per-category posteriors plus bookkeeping for one stream window.
 
     ``steps_applied`` counts frames chained since the window started; the
     first frame passes through verbatim, later frames go through the update.
     ``degenerate`` fires when every category has collapsed below
-    ``degeneracy_epsilon``.
+    ``DEGENERACY_EPSILON``.
     """
 
-    posteriors: Mapping[str, float] = field(default_factory=dict)
+    posteriors: Dict[str, float] = field(default_factory=dict)
     steps_applied: int = 0
     degenerate: bool = False
-    degeneracy_epsilon: float = DEFAULT_DEGENERACY_EPSILON
-
-    def __post_init__(self) -> None:
-        if self.steps_applied < 0:
-            raise ValueError("steps_applied must be >= 0")
-        object.__setattr__(self, "posteriors", dict(self.posteriors))
 
     @classmethod
-    def initial(cls, epsilon: float = DEFAULT_DEGENERACY_EPSILON) -> "PosteriorState":
-        return cls(posteriors={}, steps_applied=0, degeneracy_epsilon=epsilon)
+    def initial(cls) -> "PosteriorState":
+        return cls()
 
 
 def update_posterior(prior: float, current: float, p_cnn: float) -> float:
@@ -115,26 +106,28 @@ def chain_update(
     """Advance the chained posterior with one frame, returning a new state.
 
     An empty state adopts the frame's raw scores verbatim; afterwards every
-    category's posterior is fed back as the prior for the next frame.
+    category's posterior is fed back as the prior for the next frame. Scores
+    were checked by CategoryDistribution and p_cnn > 0 by ClassifierProfile,
+    so the update is applied without further checks.
     """
+    scores = frame.scores
     if state.steps_applied == 0:
-        new_posteriors: Dict[str, float] = dict(frame.scores)
+        posteriors = dict(scores)
     else:
-        if frame.labels != frozenset(state.posteriors):
+        if scores.keys() != state.posteriors.keys():
             raise LabelSetMismatchError(
-                f"frame {frame.frame_id} labels {sorted(frame.labels)} != "
+                f"frame {frame.frame_id} labels {sorted(scores)} != "
                 f"chain labels {sorted(state.posteriors)}"
             )
-        new_posteriors = {
-            label: update_posterior(state.posteriors[label], frame.scores[label], profile.p_cnn)
-            for label in state.posteriors
-        }
-    degenerate = max(new_posteriors.values()) < state.degeneracy_epsilon
+        p_cnn = profile.p_cnn
+        posteriors = {}
+        for label, prior in state.posteriors.items():
+            numerator = prior * scores[label]
+            posteriors[label] = numerator / (numerator + p_cnn)
     return PosteriorState(
-        posteriors=new_posteriors,
+        posteriors=posteriors,
         steps_applied=state.steps_applied + 1,
-        degenerate=degenerate,
-        degeneracy_epsilon=state.degeneracy_epsilon,
+        degenerate=max(posteriors.values()) < DEGENERACY_EPSILON,
     )
 
 
@@ -150,7 +143,7 @@ def argmax_label(posteriors: Mapping[str, float]) -> Tuple[str, float]:
 def degeneracy_horizon(
     representative_score: float,
     p_cnn: float,
-    epsilon: float = DEFAULT_DEGENERACY_EPSILON,
+    epsilon: float = DEGENERACY_EPSILON,
     max_steps: int = DEFAULT_HORIZON_CAP,
 ) -> Optional[int]:
     """Smallest frame count k at which a chain of identical scores drops below epsilon.

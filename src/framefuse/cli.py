@@ -7,15 +7,17 @@ failure. Every flag has a FRAMEFUSE_* environment variable fallback.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import json
 import os
 import sys
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import energy, pipeline, training
 from .backends import BackendError, ExternalBackend, MemorizingBackend
-from .bayes import ClassifierProfile, ScoreDomainError
+from .bayes import ClassifierProfile
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -45,9 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
     predict = sub.add_parser("predict-stream", help="run frame JSONL through the Bayes window")
     predict.add_argument("--input", default=_env("INPUT", "-"), help="frame JSONL path or - for stdin")
     predict.add_argument("--output", default=_env("OUTPUT", "-"), help="output path or - for stdout")
-    predict.add_argument("--window", type=int, default=int(_env("WINDOW", 3)))
-    predict.add_argument("--p-cnn", type=float, default=float(_env("P_CNN", 0.9893)))
-    predict.add_argument("--q", type=float, default=float(_env("Q", 0.7)))
+    predict.add_argument("--window", type=int, default=_env("WINDOW", "3"))
+    predict.add_argument("--p-cnn", type=float, default=_env("P_CNN", "0.9893"))
+    predict.add_argument("--q", type=float, default=_env("Q", "0.7"))
     predict.add_argument("--model-name", default=_env("MODEL_NAME", "classifier"))
     predict.add_argument("--format", choices=("jsonl", "csv"), default=_env("FORMAT", "jsonl"))
     predict.add_argument("--frame-interval", type=float, default=None,
@@ -62,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--crossval-manifest", required=True, help="path,label CSV for cross-validation")
     train.add_argument("--backend", default=_env("BACKEND", "synthetic"),
                        help="'synthetic' or 'external:<command>'")
-    train.add_argument("--q", type=float, default=float(_env("Q", 0.7)))
+    train.add_argument("--q", type=float, default=_env("Q", "0.7"))
     train.add_argument("--max-retrain-rounds", type=int, default=1)
     train.add_argument("--output", default=_env("OUTPUT", "-"), help="report JSON path or -")
 
@@ -87,36 +89,37 @@ def _write(path: str, text: str) -> None:
         Path(path).write_text(text)
 
 
+def _open(path: str, mode: str):
+    if path == "-":
+        return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+    return open(path, mode)
+
+
 def cmd_predict_stream(args: argparse.Namespace) -> int:
-    if args.input == "-":
-        lines = sys.stdin.readlines()
-    else:
-        try:
-            lines = Path(args.input).read_text().splitlines()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_SCHEMA
+    """Fold frames line by line, writing each event as soon as its frame is read."""
     try:
         profile = ClassifierProfile(model_name=args.model_name, p_cnn=args.p_cnn,
                                     q_threshold=args.q)
-        streams = pipeline.read_frame_streams(lines)
-        events: List[pipeline.StreamEvent] = []
-        for stream_id, frames in streams.items():
-            config = pipeline.StreamConfig(
-                profile=profile,
-                capacity_n=args.window,
-                auto_reset=args.auto_reset,
-                frame_interval_seconds=args.frame_interval,
-                stream_id=stream_id,
-            )
-            events.extend(pipeline.process_stream(frames, config))
-    except (pipeline.StreamSchemaError, ScoreDomainError, ValueError) as exc:
+        config = pipeline.StreamConfig(
+            profile=profile,
+            capacity_n=args.window,
+            auto_reset=args.auto_reset,
+            frame_interval_seconds=args.frame_interval,
+        )
+        with _open(args.input, "r") as source, _open(args.output, "w") as sink:
+            if args.format == "csv":
+                writer = csv.writer(sink, lineterminator="\n")
+                writer.writerow(pipeline.CSV_HEADER)
+                for event in pipeline.fold_lines(source, config):
+                    writer.writerow(pipeline.event_to_csv_row(event))
+                    sink.flush()
+            else:
+                for event in pipeline.fold_lines(source, config):
+                    sink.write(pipeline.event_to_json(event))
+                    sink.flush()
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    if args.format == "csv":
-        _write(args.output, pipeline.events_to_csv(events))
-    else:
-        _write(args.output, pipeline.events_to_jsonl(events))
     return EXIT_OK
 
 

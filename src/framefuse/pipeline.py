@@ -1,4 +1,4 @@
-"""Streaming frame pipeline: FIFO frame window feeding the Bayes chain.
+"""Streaming frame pipeline: a running Bayes fold per stream over a tumbling window.
 
 Each incoming frame produces one event carrying both the raw per-frame
 verdict and the window-integrated verdict. JSON-lines in, JSON-lines or CSV
@@ -10,8 +10,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import (
     CategoryDistribution,
@@ -20,10 +20,10 @@ from .bayes import (
     argmax_label,
     chain_update,
     warn_if_window_too_long,
-    DEFAULT_DEGENERACY_EPSILON,
 )
 
 DEFAULT_WINDOW = 3
+CSV_HEADER = ("stream_id", "frame_id", "raw_label", "tmav_label", "degenerate")
 
 
 class OutOfOrderFrameError(ValueError):
@@ -53,98 +53,69 @@ class StreamEvent:
 
 
 @dataclass(frozen=True)
-class FrameWindowState:
-    """FIFO of the most recent distributions plus the chained posterior."""
-
-    stream_id: str
-    capacity_n: int = DEFAULT_WINDOW
-    queue: Tuple[CategoryDistribution, ...] = ()
-    posterior: PosteriorState = field(default_factory=PosteriorState.initial)
-    last_frame_id: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        if self.capacity_n < 0:
-            raise ValueError("capacity_n must be >= 0")
-        warn_if_window_too_long(self.capacity_n)
-
-
-@dataclass(frozen=True)
 class StreamConfig:
     profile: ClassifierProfile
     capacity_n: int = DEFAULT_WINDOW
     auto_reset: bool = True
     frame_interval_seconds: Optional[float] = None
-    degeneracy_epsilon: float = DEFAULT_DEGENERACY_EPSILON
     stream_id: str = ""
 
 
-def reset_window(window: FrameWindowState) -> FrameWindowState:
-    """Clear the queue and posterior; the frame_id watermark survives."""
-    return replace(
-        window,
-        queue=(),
-        posterior=PosteriorState.initial(window.posterior.degeneracy_epsilon),
-    )
+class StreamFold:
+    """One stream's running Bayes fold.
 
+    With auto_reset on, the chain restarts after every N chained frames and
+    after any degenerate event; with it off, the chain runs continuously.
+    The frame_id watermark survives a restart.
+    """
 
-def push_frame(
-    window: FrameWindowState,
-    frame: CategoryDistribution,
-    profile: ClassifierProfile,
-) -> Tuple[FrameWindowState, StreamEvent]:
-    """Admit one frame FIFO-wise and emit its raw + integrated verdicts."""
-    if window.last_frame_id is not None and frame.frame_id <= window.last_frame_id:
-        raise OutOfOrderFrameError(
-            f"stream {window.stream_id!r}: frame_id {frame.frame_id} not after "
-            f"{window.last_frame_id}"
+    def __init__(self, config: StreamConfig):
+        if config.capacity_n < 0:
+            raise ValueError("capacity_n must be >= 0")
+        warn_if_window_too_long(config.capacity_n)
+        self.config = config
+        self.chain = PosteriorState.initial()
+        self.last_frame_id: Optional[int] = None
+        self.frames_seen = 0
+
+    def push(self, frame: CategoryDistribution) -> StreamEvent:
+        """Chain one frame and emit its raw + integrated verdicts."""
+        config = self.config
+        if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
+            raise OutOfOrderFrameError(
+                f"stream {config.stream_id!r}: frame_id {frame.frame_id} not after "
+                f"{self.last_frame_id}"
+            )
+        chain = chain_update(self.chain, frame, config.profile)
+        interval = config.frame_interval_seconds
+        event = StreamEvent(
+            frame_id=frame.frame_id,
+            raw_label=argmax_label(frame.scores)[0],
+            raw_scores=frame.scores,
+            tmav_label=argmax_label(chain.posteriors)[0],
+            tmav_scores=chain.posteriors,
+            degenerate=chain.degenerate,
+            wall_time=None if interval is None else interval * self.frames_seen,
+            stream_id=config.stream_id,
         )
-    queue = window.queue + (frame,)
-    if window.capacity_n and len(queue) > window.capacity_n:
-        queue = queue[len(queue) - window.capacity_n:]
-    posterior = chain_update(window.posterior, frame, profile)
-    raw_label, _ = argmax_label(frame.scores)
-    tmav_label, _ = argmax_label(posterior.posteriors)
-    event = StreamEvent(
-        frame_id=frame.frame_id,
-        raw_label=raw_label,
-        raw_scores=dict(frame.scores),
-        tmav_label=tmav_label,
-        tmav_scores=dict(posterior.posteriors),
-        degenerate=posterior.degenerate,
-        stream_id=window.stream_id,
-    )
-    new_window = replace(
-        window, queue=queue, posterior=posterior, last_frame_id=frame.frame_id
-    )
-    return new_window, event
+        if config.auto_reset and (
+            chain.degenerate
+            or (config.capacity_n and chain.steps_applied >= config.capacity_n)
+        ):
+            chain = PosteriorState.initial()
+        self.chain = chain
+        self.last_frame_id = frame.frame_id
+        self.frames_seen += 1
+        return event
 
 
 def process_stream(
     frames: Iterable[CategoryDistribution],
     config: StreamConfig,
 ) -> List[StreamEvent]:
-    """Run one stream through the window, optionally tumbling every N frames.
-
-    With auto_reset on, the window restarts after every N chained frames and
-    after any degenerate event; with it off, the chain runs continuously.
-    """
-    window = FrameWindowState(
-        stream_id=config.stream_id,
-        capacity_n=config.capacity_n,
-        posterior=PosteriorState.initial(config.degeneracy_epsilon),
-    )
-    events: List[StreamEvent] = []
-    for index, frame in enumerate(frames):
-        window, event = push_frame(window, frame, config.profile)
-        if config.frame_interval_seconds is not None:
-            event = replace(event, wall_time=config.frame_interval_seconds * index)
-        events.append(event)
-        if config.auto_reset and (
-            event.degenerate
-            or (config.capacity_n and window.posterior.steps_applied >= config.capacity_n)
-        ):
-            window = reset_window(window)
-    return events
+    """Run one stream's frames through a fresh fold."""
+    fold = StreamFold(config)
+    return [fold.push(frame) for frame in frames]
 
 
 def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribution]:
@@ -181,6 +152,27 @@ def read_frame_streams(lines: Iterable[str]) -> Dict[str, List[CategoryDistribut
     return streams
 
 
+def fold_lines(lines: Iterable[str], config: StreamConfig) -> Iterator[StreamEvent]:
+    """Fold interleaved JSONL frames per stream, yielding each event in input order.
+
+    ``config.stream_id`` is replaced by each record's own stream_id. Errors
+    from a frame's fold are raised as StreamSchemaError with its line number.
+    """
+    folds: Dict[str, StreamFold] = {}
+    for line_number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        stream_id, dist = parse_frame_line(line, line_number)
+        fold = folds.get(stream_id)
+        if fold is None:
+            fold = folds[stream_id] = StreamFold(replace(config, stream_id=stream_id))
+        try:
+            event = fold.push(dist)
+        except ValueError as exc:
+            raise StreamSchemaError(line_number, str(exc)) from exc
+        yield event
+
+
 def event_to_dict(event: StreamEvent) -> dict:
     record = {
         "stream_id": event.stream_id,
@@ -196,18 +188,24 @@ def event_to_dict(event: StreamEvent) -> dict:
     return record
 
 
+def event_to_json(event: StreamEvent) -> str:
+    return json.dumps(event_to_dict(event), sort_keys=True) + "\n"
+
+
 def events_to_jsonl(events: Sequence[StreamEvent]) -> str:
-    return "".join(json.dumps(event_to_dict(e), sort_keys=True) + "\n" for e in events)
+    return "".join(event_to_json(e) for e in events)
+
+
+def event_to_csv_row(event: StreamEvent) -> list:
+    return [event.stream_id, event.frame_id, event.raw_label, event.tmav_label,
+            str(event.degenerate).lower()]
 
 
 def events_to_csv(events: Sequence[StreamEvent]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["frame_id", "raw_label", "tmav_label", "degenerate"])
-    for event in events:
-        writer.writerow(
-            [event.frame_id, event.raw_label, event.tmav_label, str(event.degenerate).lower()]
-        )
+    writer.writerow(CSV_HEADER)
+    writer.writerows(event_to_csv_row(event) for event in events)
     return buf.getvalue()
 
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from framefuse.backends import MemorizingBackend, ScriptedAccuracyBackend
+from framefuse.backends import MemorizingBackend
 from framefuse.bayes import CategoryDistribution, ClassifierProfile
 from framefuse.energy import TrainingRunMeta, compute_ecti, lifespan_reduction, select_model
 from framefuse.pipeline import StreamConfig, process_stream
@@ -24,6 +24,7 @@ from conftest import (
     make_frames,
     oracle_fold,
 )
+from scripted_backend import ScriptedAccuracyBackend
 
 
 def report(name):

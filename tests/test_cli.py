@@ -1,12 +1,18 @@
 import json
+import os
+import select
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import framefuse
 from framefuse.bayes import ClassifierProfile
 from framefuse.cli import main
-from framefuse.pipeline import StreamConfig, process_stream, read_frame_streams
+from framefuse.pipeline import StreamConfig, events_to_jsonl, process_stream, read_frame_streams
+
+from conftest import TABLE1_FRAMES, TABLE2_FRAMES, make_frames
 
 FAKE_BACKEND = Path(__file__).resolve().parent / "fake_backend.py"
 
@@ -64,7 +70,8 @@ class TestPredictStream:
             "--output", str(out), "--format", "csv", "--no-auto-reset",
         )
         lines = out.read_text().splitlines()
-        assert lines[0] == "frame_id,raw_label,tmav_label,degenerate"
+        assert lines[0] == "stream_id,frame_id,raw_label,tmav_label,degenerate"
+        assert lines[1] == "ucsd-traffic,1,Fluid,Fluid,false"
         assert len(lines) == 4
 
     def test_output_matches_in_process_run(self, fixtures_dir, tmp_path):
@@ -82,6 +89,93 @@ class TestPredictStream:
                                                      stream_id="ucsd-traffic"))
         assert [e["tmav_scores"] for e in cli_events] == [e.tmav_scores for e in direct]
         assert [e["frame_id"] for e in cli_events] == [e.frame_id for e in direct]
+
+
+def frame_line(stream_id, frame_id, scores):
+    return json.dumps({"stream_id": stream_id, "frame_id": frame_id, "scores": scores})
+
+
+class TestStreaming:
+    def test_interleaved_streams_emit_in_input_order(self, tmp_path):
+        frames = {"cam-a": make_frames(TABLE1_FRAMES), "cam-b": make_frames(TABLE2_FRAMES)}
+        order = [("cam-a", 0), ("cam-b", 0), ("cam-b", 1), ("cam-a", 1), ("cam-a", 2),
+                 ("cam-b", 2)]
+        src = tmp_path / "frames.jsonl"
+        src.write_text("".join(
+            frame_line(sid, frames[sid][i].frame_id, frames[sid][i].scores) + "\n"
+            for sid, i in order
+        ))
+        out = tmp_path / "events.jsonl"
+        assert run_cli("predict-stream", "--input", str(src), "--output", str(out)) == 0
+        lines = out.read_text().splitlines(keepends=True)
+        assert [(json.loads(l)["stream_id"], json.loads(l)["frame_id"]) for l in lines] == [
+            (sid, frames[sid][i].frame_id) for sid, i in order
+        ]
+        profile = ClassifierProfile(model_name="classifier", p_cnn=0.9893)
+        for sid, stream_frames in frames.items():
+            alone = process_stream(stream_frames, StreamConfig(profile=profile, stream_id=sid))
+            mine = "".join(l for l in lines if json.loads(l)["stream_id"] == sid)
+            assert mine == events_to_jsonl(alone)
+
+    @pytest.mark.parametrize("bad_line", [
+        frame_line("s", 1, {"a": 0.5, "b": 0.5}),  # frame_id not after 2
+        frame_line("s", 3, {"a": 0.5, "c": 0.5}),  # label set changes mid-window
+    ])
+    def test_bad_frame_exits_schema_with_line_number(self, bad_line, tmp_path, capsys):
+        src = tmp_path / "frames.jsonl"
+        src.write_text("\n".join([
+            frame_line("s", 1, {"a": 0.6, "b": 0.4}),
+            frame_line("t", 1, {"a": 0.6, "b": 0.4}),
+            frame_line("s", 2, {"a": 0.6, "b": 0.4}),
+            bad_line,
+        ]) + "\n")
+        assert run_cli("predict-stream", "--input", str(src)) == 2
+        captured = capsys.readouterr()
+        assert "line 4" in captured.err
+        # events for the frames before the bad line are already out
+        assert len(captured.out.splitlines()) == 3
+
+    def test_event_leaves_before_input_closes(self, fixtures_dir):
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED" and not k.startswith("FRAMEFUSE_")}
+        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+        first = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()[0]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framefuse.cli", "predict-stream"],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
+        )
+        try:
+            proc.stdin.write(first.encode() + b"\n")
+            proc.stdin.flush()
+            readable, _, _ = select.select([proc.stdout], [], [], 10)
+            assert readable, "no event before stdin was closed"
+            assert json.loads(proc.stdout.readline())["frame_id"] == 1
+            proc.stdin.close()
+            assert proc.wait(timeout=10) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stdout.close()
+
+
+class TestEnvFallbacks:
+    @pytest.mark.parametrize("name,commands", [
+        ("WINDOW", ["predict-stream"]),
+        ("P_CNN", ["predict-stream"]),
+        ("Q", ["predict-stream", "train"]),
+    ])
+    def test_bad_numeric_fallback_is_a_usage_error(self, name, commands, monkeypatch, capsys):
+        monkeypatch.setenv(f"FRAMEFUSE_{name}", "abc")
+        for command in commands:
+            argv = [command]
+            if command == "train":
+                argv += ["--offline-manifest", "o.csv", "--crossval-manifest", "c.csv"]
+            with pytest.raises(SystemExit) as exit_info:
+                run_cli(*argv)
+            assert exit_info.value.code == 2
+            err = capsys.readouterr().err
+            assert "usage:" in err and "'abc'" in err
 
 
 class TestTrain:

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from framefuse.bayes import CategoryDistribution, ClassifierProfile
 from framefuse.pipeline import (
-    FrameWindowState,
     OutOfOrderFrameError,
     StreamConfig,
     StreamSchemaError,
@@ -15,9 +14,7 @@ from framefuse.pipeline import (
     events_to_csv,
     events_to_jsonl,
     process_stream,
-    push_frame,
     read_frame_streams,
-    reset_window,
 )
 
 from conftest import (
@@ -61,41 +58,26 @@ class TestTableStreams:
 
 
 class TestWindowMechanics:
-    def test_fifo_eviction(self, traffic_profile):
-        window = FrameWindowState(stream_id="s", capacity_n=3)
-        frames = make_frames([{"a": 0.5, "b": 0.5}] * 10)
-        for frame in frames:
-            window, _ = push_frame(window, frame, traffic_profile)
-        assert [f.frame_id for f in window.queue] == [8, 9, 10]
-
     def test_out_of_order_rejected(self, traffic_profile):
-        window = FrameWindowState(stream_id="s")
+        # a one-frame window restarts the chain in between; the watermark survives
         frame = make_frames(TABLE1_FRAMES)[0]
-        window, _ = push_frame(window, frame, traffic_profile)
         with pytest.raises(OutOfOrderFrameError):
-            push_frame(window, frame, traffic_profile)
-
-    def test_reset_idempotent(self, traffic_profile):
-        window = FrameWindowState(stream_id="s")
-        window, _ = push_frame(window, make_frames(TABLE1_FRAMES)[0], traffic_profile)
-        once = reset_window(window)
-        assert reset_window(once) == once
-        assert once.queue == ()
-        assert once.posterior.steps_applied == 0
+            process_stream([frame, frame], StreamConfig(profile=traffic_profile, capacity_n=1))
 
     def test_reset_then_replay_reproduces_table(self, traffic_profile):
-        window = FrameWindowState(stream_id="s", capacity_n=3)
-        for frame in make_frames([{l: 0.25 for l in TABLE1_FRAMES[0]}] * 5):
-            window, _ = push_frame(window, frame, traffic_profile)
-        window = reset_window(window)
-        for frame, expected in zip(make_frames(TABLE1_FRAMES, start_id=6), TABLE1_EXPECTED):
-            window, event = push_frame(window, frame, traffic_profile)
+        # two full uniform windows, then Table 1 opens the third window
+        uniform = make_frames([{l: 0.25 for l in TABLE1_FRAMES[0]}] * 6)
+        table = make_frames(TABLE1_FRAMES, start_id=7)
+        events = process_stream(
+            uniform + table, StreamConfig(profile=traffic_profile, capacity_n=3)
+        )
+        for event, expected in zip(events[6:], TABLE1_EXPECTED):
             for label, value in expected.items():
                 assert event.tmav_scores[label] == pytest.approx(value, abs=1e-4)
 
-    def test_long_window_warns(self):
+    def test_long_window_warns(self, traffic_profile):
         with pytest.warns(UserWarning):
-            FrameWindowState(stream_id="s", capacity_n=8)
+            process_stream([], StreamConfig(profile=traffic_profile, capacity_n=8))
 
     def test_tumbling_reset_restarts_chain(self, traffic_profile):
         frames = make_frames([{"a": 0.6, "b": 0.4}] * 6)
@@ -170,11 +152,13 @@ class TestWireFormats:
         assert parsed == [event_to_dict(e) for e in events]
 
     def test_csv_summary(self, traffic_profile):
-        events = process_stream(make_frames(TABLE1_FRAMES), continuous(traffic_profile))
+        events = process_stream(
+            make_frames(TABLE1_FRAMES), continuous(traffic_profile, stream_id="cam-1")
+        )
         lines = events_to_csv(events).splitlines()
-        assert lines[0] == "frame_id,raw_label,tmav_label,degenerate"
-        assert lines[1] == "1,Fluid,Fluid,false"
-        assert lines[3] == "3,Jam,Fluid,false"
+        assert lines[0] == "stream_id,frame_id,raw_label,tmav_label,degenerate"
+        assert lines[1] == "cam-1,1,Fluid,Fluid,false"
+        assert lines[3] == "cam-1,3,Jam,Fluid,false"
 
     def test_schema_errors_carry_line_numbers(self):
         with pytest.raises(StreamSchemaError, match="line 2"):

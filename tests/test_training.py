@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framefuse.backends import MemorizingBackend, ScriptedAccuracyBackend
+from framefuse.backends import MemorizingBackend
 from framefuse.training import (
     ALLOWED_TRANSITIONS,
     ManifestError,
@@ -17,6 +17,8 @@ from framefuse.training import (
     run_session,
     session_report,
 )
+
+from scripted_backend import ScriptedAccuracyBackend
 
 LABELS = ["Empty", "Fluid", "Heavy", "Jam"]
 
