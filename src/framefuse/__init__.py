@@ -1,6 +1,11 @@
 """Streaming conversion of per-frame classifier scores into temporally
-integrated video-level predictions, with the training state machine and
-energy/thermal reporting around it.
+integrated video-level predictions.
+
+The package root exports the stream core (``bayes`` and ``pipeline``) only.
+The training state machine, the classifier backends and the energy/thermal
+reports are imported from their own modules (``framefuse.training``,
+``framefuse.backends``, ``framefuse.energy``), so a stream run never loads
+them.
 """
 
 from .bayes import (
@@ -22,35 +27,6 @@ from .pipeline import (
     StreamSchemaError,
     fold_lines,
     process_stream,
-)
-from .training import (
-    Phase,
-    TrainingSession,
-    evaluate_accuracy,
-    run_offline,
-    run_online_validation,
-    run_retrain,
-    run_session,
-)
-from .energy import (
-    EctiResult,
-    NoQualifyingModelError,
-    PowerTrace,
-    ThermalTrace,
-    TraceError,
-    TrainingRunMeta,
-    average_power,
-    compute_ecti,
-    lifespan_reduction,
-    select_model,
-    thermal_summary,
-)
-from .backends import (
-    BackendError,
-    ClassifierBackend,
-    ExternalBackend,
-    MemorizingBackend,
-    ProtocolError,
 )
 
 __version__ = "0.1.0"

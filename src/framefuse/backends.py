@@ -14,6 +14,7 @@ import subprocess
 from typing import Dict, Protocol, Sequence, Tuple
 
 PROTOCOL_VERSION = 1
+CLOSE_WAIT_S = 10.0  # how long close() waits for the child before killing it
 
 LabeledItem = Tuple[str, str]  # (image ref, true label)
 
@@ -82,10 +83,13 @@ class ExternalBackend:
         except OSError as exc:
             raise BackendError(f"cannot start backend {command!r}: {exc}") from exc
         self._next_id = 0
-        reply = self._call({"op": "hello", "version": PROTOCOL_VERSION})
-        if not reply.get("ok") or reply.get("version") != PROTOCOL_VERSION:
+        try:
+            reply = self._call({"op": "hello", "version": PROTOCOL_VERSION})
+            if not reply.get("ok") or reply.get("version") != PROTOCOL_VERSION:
+                raise ProtocolError(f"handshake failed: {reply}")
+        except BackendError:
             self.close()
-            raise ProtocolError(f"handshake failed: {reply}")
+            raise
 
     def _call(self, request: dict) -> dict:
         request = dict(request, id=self._next_id)
@@ -124,15 +128,24 @@ class ExternalBackend:
         scores = reply.get("scores")
         if not isinstance(scores, dict) or not scores:
             raise ProtocolError(f"predict reply without scores: {reply}")
+        for label, value in scores.items():
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not 0.0 <= value <= 1.0):
+                raise ProtocolError(f"score for {label!r} is not a number in [0, 1]: {value!r}")
         return {str(label): float(value) for label, value in scores.items()}
 
     def close(self) -> None:
-        if self._proc.stdin:
+        """Close both pipes and reap the child, killing it if it outlives CLOSE_WAIT_S."""
+        for stream in (self._proc.stdin, self._proc.stdout):
             try:
-                self._proc.stdin.close()
+                stream.close()
             except OSError:
                 pass
-        self._proc.wait(timeout=10)
+        try:
+            self._proc.wait(timeout=CLOSE_WAIT_S)
+        except subprocess.TimeoutExpired:
+            self._proc.kill()
+            self._proc.wait()
 
     def __enter__(self) -> "ExternalBackend":
         return self

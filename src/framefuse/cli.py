@@ -1,7 +1,9 @@
 """Command-line surface: stream prediction, training, energy and thermal reports.
 
 Exit codes: 0 success, 2 schema/input error, 3 quality-not-met, 4 backend
-failure. Every flag has a FRAMEFUSE_* environment variable fallback.
+failure. Every flag has a FRAMEFUSE_* environment variable fallback. Each
+command imports the modules it needs when it runs, so predict-stream loads
+only the stream core.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import energy, pipeline, training
-from .backends import BackendError, ExternalBackend, MemorizingBackend
+from . import pipeline
 from .bayes import ClassifierProfile
 
 EXIT_OK = 0
@@ -124,6 +125,8 @@ def cmd_predict_stream(args: argparse.Namespace) -> int:
 
 
 def _make_backend(spec: str, labels: Sequence[str]):
+    from .backends import ExternalBackend, MemorizingBackend
+
     if spec == "synthetic":
         return MemorizingBackend(labels)
     if spec.startswith("external:"):
@@ -132,6 +135,9 @@ def _make_backend(spec: str, labels: Sequence[str]):
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from . import training
+    from .backends import BackendError, ExternalBackend
+
     try:
         offline = training.load_manifest(Path(args.offline_manifest))
         crossval = training.load_manifest(Path(args.crossval_manifest))
@@ -164,6 +170,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ecti(args: argparse.Namespace) -> int:
+    from . import energy
+
     results = []
     try:
         for run in args.run:
@@ -209,6 +217,8 @@ def cmd_ecti(args: argparse.Namespace) -> int:
 
 
 def cmd_thermal(args: argparse.Namespace) -> int:
+    from . import energy
+
     try:
         trace = energy.load_thermal_csv(Path(args.trace), args.baseline_temp)
         summary = energy.thermal_summary(trace)

@@ -10,8 +10,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-import numpy as np
-
 DEFAULT_Q = 0.7
 TEMP_GUARD_LOW = -20.0
 TEMP_GUARD_HIGH = 150.0
@@ -103,10 +101,11 @@ def average_power(trace: PowerTrace) -> float:
     """Time-weighted mean power over the trace span, in kW (trapezoid rule)."""
     if len(trace.samples) < 2:
         raise TraceError("average_power needs at least 2 samples")
-    times = np.array([t for t, _ in trace.samples])
-    watts = np.array([w for _, w in trace.samples])
-    energy_joules = np.trapezoid(watts, times)
-    return float(energy_joules / (times[-1] - times[0]) / 1000.0)
+    samples = trace.samples
+    energy_joules = math.fsum(
+        (t1 - t0) * (w0 + w1) / 2 for (t0, w0), (t1, w1) in zip(samples, samples[1:])
+    )
+    return energy_joules / (samples[-1][0] - samples[0][0]) / 1000.0
 
 
 def compute_ecti(meta: TrainingRunMeta, average_power_kw: float) -> EctiResult:
@@ -162,7 +161,7 @@ def thermal_summary(trace: ThermalTrace) -> ThermalSummary:
     peak = max(temps)
     return ThermalSummary(
         peak=peak,
-        mean=float(np.mean(temps)),
+        mean=math.fsum(temps) / len(temps),
         deviation_from_baseline=peak - trace.baseline_temp,
     )
 

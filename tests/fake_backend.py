@@ -4,11 +4,14 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --memorize   learn labels from train items, predict them back (default)
   --wrong      always predict the first configured label (mostly wrong)
   --bad-hello  answer the handshake with a mismatched version
+  --nan        answer every predict with a NaN score
+  --linger     keep running for a minute after stdin closes
 """
 
 import argparse
 import json
 import sys
+import time
 
 VERSION = 1
 LABELS = ["Empty", "Fluid", "Heavy", "Jam"]
@@ -22,6 +25,8 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--wrong", action="store_true")
     parser.add_argument("--bad-hello", action="store_true")
+    parser.add_argument("--nan", action="store_true")
+    parser.add_argument("--linger", action="store_true")
     args = parser.parse_args()
 
     memory = {}
@@ -49,11 +54,13 @@ def main():
                 label = LABELS[0]
             else:
                 label = memory.get(msg.get("image"), LABELS[0])
-            reply["scores"] = scores_for(label)
+            reply["scores"] = {"Empty": float("nan"), "Fluid": 0.5} if args.nan else scores_for(label)
         else:
             reply["error"] = f"unknown op {op!r}"
         sys.stdout.write(json.dumps(reply) + "\n")
         sys.stdout.flush()
+    if args.linger:
+        time.sleep(60)
 
 
 if __name__ == "__main__":

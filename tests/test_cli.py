@@ -158,6 +158,23 @@ class TestStreaming:
                 proc.wait()
             proc.stdout.close()
 
+    def test_loads_only_the_stream_core(self, fixtures_dir):
+        script = (
+            "import os, sys\n"
+            "from framefuse.cli import main\n"
+            f"code = main(['predict-stream', '--input', {str(fixtures_dir / 'table1_traffic.jsonl')!r},"
+            " '--output', os.devnull])\n"
+            "print(code, *sorted(sys.modules))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
+        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=30)
+        code, *modules = proc.stdout.split()
+        assert code == "0", proc.stderr
+        unwanted = {"numpy", "framefuse.training", "framefuse.energy", "framefuse.backends"}
+        assert unwanted.isdisjoint(modules)
+
 
 class TestEnvFallbacks:
     @pytest.mark.parametrize("name,commands", [
@@ -239,6 +256,16 @@ class TestTrain:
             "--backend", "external:no-such-binary-zzz",
         )
         assert code == 4
+
+    def test_nan_scores_exit_backend_failure(self, manifests, capsys):
+        offline, crossval = manifests
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval),
+            "--backend", f"external:{sys.executable} {FAKE_BACKEND} --nan",
+        )
+        assert code == 4
+        assert "not a number" in capsys.readouterr().err
 
 
 class TestEctiCommand:

@@ -1,10 +1,12 @@
 import json
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from framefuse import backends
 from framefuse.backends import BackendError, ExternalBackend, ProtocolError
 from framefuse.training import TrainingSession, run_session
 
@@ -35,6 +37,22 @@ class TestExternalBackend:
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
             ExternalBackend(backend_command("--bad-hello"))
+
+    def test_nan_score_is_a_protocol_error(self):
+        with ExternalBackend(backend_command("--nan")) as backend:
+            with pytest.raises(ProtocolError, match="not a number"):
+                backend.predict("a.jpg")
+
+    def test_close_kills_a_child_that_ignores_eof(self, monkeypatch):
+        monkeypatch.setattr(backends, "CLOSE_WAIT_S", 0.2)
+        backend = ExternalBackend(backend_command("--linger"))
+        backend.close()
+        assert backend._proc.returncode == -signal.SIGKILL
+        assert backend._proc.stdout.closed
+
+    def test_backend_that_exits_before_hello_fails_cleanly(self):
+        with pytest.raises(BackendError, match="closed its output"):
+            ExternalBackend(f"{sys.executable} -c pass")
 
     def test_unknown_command_fails_cleanly(self):
         with pytest.raises(BackendError):
