@@ -2,7 +2,7 @@
 integrated video-level predictions.
 
 The package root exports the stream core (``bayes`` and ``pipeline``) only.
-The training state machine, the classifier backends and the energy/thermal
+The training loop, the classifier backends and the energy/thermal
 reports are imported from their own modules (``framefuse.training``,
 ``framefuse.backends``, ``framefuse.energy``), so a stream run never loads
 them.

@@ -2,7 +2,7 @@
 
 A backend answers ``predict(ref) -> {label: score}`` and
 ``train(items) -> count``. The synthetic backends exist so the training
-state machine can be driven deterministically; the external backend speaks
+loop can be driven deterministically; the external backend speaks
 a JSON-lines protocol to a subprocess serving a real model.
 """
 

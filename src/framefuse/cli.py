@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -50,8 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--output", default=_env("OUTPUT", "-"), help="output path or - for stdout")
     predict.add_argument("--window", type=int, default=_env("WINDOW", "3"))
     predict.add_argument("--p-cnn", type=float, default=_env("P_CNN", "0.9893"))
-    predict.add_argument("--q", type=float, default=_env("Q", "0.7"))
-    predict.add_argument("--model-name", default=_env("MODEL_NAME", "classifier"))
     predict.add_argument("--format", choices=("jsonl", "csv"), default=_env("FORMAT", "jsonl"))
     predict.add_argument("--frame-interval", type=float, default=None,
                          help="seconds between frames, reported as event wall_time")
@@ -60,7 +59,7 @@ def build_parser() -> argparse.ArgumentParser:
                        default=_env_flag("AUTO_RESET", True))
     reset.add_argument("--no-auto-reset", dest="auto_reset", action="store_false")
 
-    train = sub.add_parser("train", help="drive the hybrid training state machine")
+    train = sub.add_parser("train", help="run the hybrid training loop")
     train.add_argument("--offline-manifest", required=True, help="path,label CSV for offline training")
     train.add_argument("--crossval-manifest", required=True, help="path,label CSV for cross-validation")
     train.add_argument("--backend", default=_env("BACKEND", "synthetic"),
@@ -99,8 +98,7 @@ def _open(path: str, mode: str):
 def cmd_predict_stream(args: argparse.Namespace) -> int:
     """Fold frames line by line, writing each event as soon as its frame is read."""
     try:
-        profile = ClassifierProfile(model_name=args.model_name, p_cnn=args.p_cnn,
-                                    q_threshold=args.q)
+        profile = ClassifierProfile(model_name="classifier", p_cnn=args.p_cnn)
         config = pipeline.StreamConfig(
             profile=profile,
             capacity_n=args.window,
@@ -141,19 +139,19 @@ def cmd_train(args: argparse.Namespace) -> int:
     try:
         offline = training.load_manifest(Path(args.offline_manifest))
         crossval = training.load_manifest(Path(args.crossval_manifest))
-    except (training.ManifestError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    labels = sorted({label for _, label in offline + crossval})
-    backend = None
-    try:
-        backend = _make_backend(args.backend, labels)
         session = training.TrainingSession(
             offline_set=offline,
             crossval_set=crossval,
             q_threshold=args.q,
             max_retrain_rounds=args.max_retrain_rounds,
         )
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
+    labels = sorted({label for _, label in offline + crossval})
+    backend = None
+    try:
+        backend = _make_backend(args.backend, labels)
         training.run_session(session, backend)
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -180,13 +178,7 @@ def cmd_ecti(args: argparse.Namespace) -> int:
                 raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
             meta = energy.load_run_meta(Path(meta_path))
             if args.q is not None:
-                meta = energy.TrainingRunMeta(
-                    model_name=meta.model_name,
-                    duration_hours=meta.duration_hours,
-                    image_count=meta.image_count,
-                    achieved_accuracy=meta.achieved_accuracy,
-                    q_threshold=args.q,
-                )
+                meta = dataclasses.replace(meta, q_threshold=args.q)
             kw = energy.average_power(energy.load_power_csv(Path(power_path)))
             results.append((meta, energy.compute_ecti(meta, kw)))
     except (energy.TraceError, ValueError, OSError, json.JSONDecodeError) as exc:

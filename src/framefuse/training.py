@@ -1,23 +1,28 @@
-"""Hybrid training state machine over an abstract classifier backend.
+"""Hybrid training loop over an abstract classifier backend.
 
-Offline training, online cross-validation against a feed, refeed-stack
-accumulation of misses, threshold-gated retraining, and a final accuracy
-report. The backend is opaque: synthetic in-process or external over the
-wire protocol.
+Offline training, then cross-validation that stacks the misses for
+refeeding; while the accuracy is below the quality threshold and retrain
+rounds remain, the backend trains on the refeed stack and the set is
+validated again. The backend is opaque: synthetic in-process or external
+over the wire protocol.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
-from .backends import BackendError, ClassifierBackend, LabeledItem
+from .backends import BackendError, ClassifierBackend, LabeledItem, ProtocolError
 from .bayes import argmax_label
 
 DEFAULT_Q = 0.7
+# Predict scores are raw classifier outputs, which sum to 1 only as closely
+# as a float32 softmax does.
+SCORE_SUM_TOLERANCE = 1e-3
 
 
 class Phase(enum.Enum):
@@ -27,38 +32,34 @@ class Phase(enum.Enum):
     DONE = "done"
 
 
-# Legal transitions of the state machine.
-ALLOWED_TRANSITIONS = {
-    (Phase.OFFLINE, Phase.ONLINE_VALIDATION),
-    (Phase.ONLINE_VALIDATION, Phase.DONE),
-    (Phase.ONLINE_VALIDATION, Phase.RETRAIN),
-    (Phase.RETRAIN, Phase.ONLINE_VALIDATION),
-    (Phase.RETRAIN, Phase.DONE),
-}
-
-
-class PhaseError(RuntimeError):
-    """An operation was invoked in the wrong phase."""
-
-
 class ManifestError(ValueError):
     """Dataset manifest is malformed."""
 
 
 @dataclass
 class TrainingSession:
-    """Mutable session state for one training run."""
+    """Settings and mutable state of one training run."""
 
     offline_set: List[LabeledItem]
     crossval_set: List[LabeledItem]
     q_threshold: float = DEFAULT_Q
     max_retrain_rounds: int = 1
-    phase: Phase = Phase.OFFLINE
-    refeed_stack: List[LabeledItem] = field(default_factory=list)
-    accuracy_history: List[float] = field(default_factory=list)
-    retrain_rounds_used: int = 0
-    quality_met: Optional[bool] = None
-    phase_history: List[Phase] = field(default_factory=lambda: [Phase.OFFLINE])
+    phase: Phase = field(init=False, default=Phase.OFFLINE)
+    refeed_stack: List[LabeledItem] = field(init=False, default_factory=list)
+    accuracy_history: List[float] = field(init=False, default_factory=list)
+    retrain_rounds_used: int = field(init=False, default=0)
+    quality_met: Optional[bool] = field(init=False, default=None)
+    phase_history: List[Phase] = field(init=False, default_factory=lambda: [Phase.OFFLINE])
+
+    def __post_init__(self) -> None:
+        if not self.offline_set:
+            raise ValueError("offline_set must be non-empty")
+        if not self.crossval_set:
+            raise ValueError("crossval_set must be non-empty")
+        if math.isnan(self.q_threshold) or not 0.0 < self.q_threshold <= 1.0:
+            raise ValueError(f"q_threshold must be in (0, 1], got {self.q_threshold!r}")
+        if self.max_retrain_rounds < 0:
+            raise ValueError(f"max_retrain_rounds must be >= 0, got {self.max_retrain_rounds}")
 
     @property
     def final_accuracy(self) -> Optional[float]:
@@ -68,102 +69,65 @@ class TrainingSession:
     def best_accuracy(self) -> Optional[float]:
         return max(self.accuracy_history) if self.accuracy_history else None
 
-    def _transition(self, new_phase: Phase) -> None:
-        if (self.phase, new_phase) not in ALLOWED_TRANSITIONS:
-            raise PhaseError(f"illegal transition {self.phase} -> {new_phase}")
-        self.phase = new_phase
-        self.phase_history.append(new_phase)
+    def _enter(self, phase: Phase) -> None:
+        self.phase = phase
+        self.phase_history.append(phase)
 
 
-def evaluate_accuracy(backend: ClassifierBackend, labeled_set: Sequence[LabeledItem]) -> float:
-    """Fraction of items whose argmax prediction matches the true label."""
-    if not labeled_set:
-        raise ValueError("cannot evaluate accuracy on an empty set")
-    correct = 0
-    for ref, true_label in labeled_set:
-        predicted, _ = argmax_label(backend.predict(ref))
-        if predicted == true_label:
-            correct += 1
-    return correct / len(labeled_set)
+def _validate(session: TrainingSession, backend: ClassifierBackend) -> float:
+    """Predict every cross-validation item once, restacking the misses.
 
-
-def run_offline(session: TrainingSession, backend: ClassifierBackend) -> TrainingSession:
-    """Train the backend on the stock dataset and move to online validation."""
-    if session.phase is not Phase.OFFLINE:
-        raise PhaseError(f"run_offline called in phase {session.phase}")
-    if not session.offline_set:
-        raise ValueError("offline_set must be non-empty")
-    try:
-        backend.train(session.offline_set)
-    except BackendError as exc:
-        raise BackendError(f"offline training failed: {exc}") from exc
-    session._transition(Phase.ONLINE_VALIDATION)
-    return session
-
-
-def run_online_validation(
-    session: TrainingSession, backend: ClassifierBackend
-) -> TrainingSession:
-    """Predict every cross-validation item, stacking misses for refeeding."""
-    if session.phase is not Phase.ONLINE_VALIDATION:
-        raise PhaseError(f"run_online_validation called in phase {session.phase}")
-    if not session.crossval_set:
-        raise ValueError("crossval_set must be non-empty")
+    Records and returns the accuracy. A reply that lacks a manifest label or
+    whose scores do not sum to 1 is a ProtocolError.
+    """
+    labels = {label for _, label in session.offline_set + session.crossval_set}
+    session.refeed_stack = []
     correct = 0
     for ref, true_label in session.crossval_set:
         try:
-            predicted, _ = argmax_label(backend.predict(ref))
+            scores = backend.predict(ref)
         except BackendError as exc:
             done = correct + len(session.refeed_stack)
             raise BackendError(
                 f"backend failed mid-validation after {done} of "
                 f"{len(session.crossval_set)} items ({correct} correct): {exc}"
             ) from exc
+        missing = labels - scores.keys()
+        if missing:
+            raise ProtocolError(f"predict reply for {ref!r} lacks labels {sorted(missing)}")
+        total = math.fsum(scores.values())
+        if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
+            raise ProtocolError(f"predict scores for {ref!r} sum to {total!r}, not 1")
+        predicted, _ = argmax_label(scores)
         if predicted == true_label:
             correct += 1
         else:
             session.refeed_stack.append((ref, true_label))
     accuracy = correct / len(session.crossval_set)
     session.accuracy_history.append(accuracy)
-    if accuracy >= session.q_threshold:
-        session.quality_met = True
-        session._transition(Phase.DONE)
-    else:
-        session._transition(Phase.RETRAIN)
-    return session
-
-
-def run_retrain(session: TrainingSession, backend: ClassifierBackend) -> TrainingSession:
-    """Refeed the missed items, re-measure, and gate on the quality threshold."""
-    if session.phase is not Phase.RETRAIN:
-        raise PhaseError(f"run_retrain called in phase {session.phase}")
-    session.retrain_rounds_used += 1
-    if session.refeed_stack:
-        backend.train(session.refeed_stack)
-        accuracy = evaluate_accuracy(backend, session.crossval_set)
-        session.accuracy_history.append(accuracy)
-    else:
-        accuracy = session.final_accuracy if session.final_accuracy is not None else 0.0
-    session.refeed_stack.clear()
-    if accuracy >= session.q_threshold:
-        session.quality_met = True
-        session._transition(Phase.DONE)
-    elif session.retrain_rounds_used >= session.max_retrain_rounds:
-        session.quality_met = False
-        session._transition(Phase.DONE)
-    else:
-        session._transition(Phase.ONLINE_VALIDATION)
-    return session
+    return accuracy
 
 
 def run_session(session: TrainingSession, backend: ClassifierBackend) -> TrainingSession:
-    """Drive the session from offline training to Done."""
-    run_offline(session, backend)
-    while session.phase is not Phase.DONE:
-        if session.phase is Phase.ONLINE_VALIDATION:
-            run_online_validation(session, backend)
-        else:
-            run_retrain(session, backend)
+    """Train offline, then refeed the misses and validate again until Q holds.
+
+    Each retrain round trains on the refeed stack and validates once, up to
+    ``max_retrain_rounds`` rounds.
+    """
+    try:
+        backend.train(session.offline_set)
+    except BackendError as exc:
+        raise BackendError(f"offline training failed: {exc}") from exc
+    session._enter(Phase.ONLINE_VALIDATION)
+    accuracy = _validate(session, backend)
+    while (accuracy < session.q_threshold
+           and session.retrain_rounds_used < session.max_retrain_rounds):
+        session._enter(Phase.RETRAIN)
+        session.retrain_rounds_used += 1
+        backend.train(session.refeed_stack)
+        accuracy = _validate(session, backend)
+    session.quality_met = accuracy >= session.q_threshold
+    session._enter(Phase.DONE)
     return session
 
 

@@ -5,6 +5,7 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --wrong      always predict the first configured label (mostly wrong)
   --bad-hello  answer the handshake with a mismatched version
   --nan        answer every predict with a NaN score
+  --foreign    answer every predict with labels outside the manifests
   --linger     keep running for a minute after stdin closes
 """
 
@@ -26,6 +27,7 @@ def main():
     parser.add_argument("--wrong", action="store_true")
     parser.add_argument("--bad-hello", action="store_true")
     parser.add_argument("--nan", action="store_true")
+    parser.add_argument("--foreign", action="store_true")
     parser.add_argument("--linger", action="store_true")
     args = parser.parse_args()
 
@@ -54,7 +56,12 @@ def main():
                 label = LABELS[0]
             else:
                 label = memory.get(msg.get("image"), LABELS[0])
-            reply["scores"] = {"Empty": float("nan"), "Fluid": 0.5} if args.nan else scores_for(label)
+            if args.nan:
+                reply["scores"] = {"Empty": float("nan"), "Fluid": 0.5}
+            elif args.foreign:
+                reply["scores"] = {"Foo": 0.9, "Bar": 0.9}
+            else:
+                reply["scores"] = scores_for(label)
         else:
             reply["error"] = f"unknown op {op!r}"
         sys.stdout.write(json.dumps(reply) + "\n")

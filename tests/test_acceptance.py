@@ -180,10 +180,8 @@ def test_training_state_machine():
 
     # refeed stack contents equal the wrong-prediction set exactly
     checker = ScriptedAccuracyBackend(dict(items), labels, schedule=[0.65])
-    session = TrainingSession(offline_set=items, crossval_set=items)
-    from framefuse.training import run_offline, run_online_validation
-    run_offline(session, checker)
-    run_online_validation(session, checker)
+    session = TrainingSession(offline_set=items, crossval_set=items, max_retrain_rounds=0)
+    run_session(session, checker)
     assert {ref for ref, _ in session.refeed_stack} == set(checker.wrong_refs())
     report("training state machine: memorizing / improving / stuck backends "
            "and exact refeed contents")

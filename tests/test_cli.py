@@ -180,7 +180,7 @@ class TestEnvFallbacks:
     @pytest.mark.parametrize("name,commands", [
         ("WINDOW", ["predict-stream"]),
         ("P_CNN", ["predict-stream"]),
-        ("Q", ["predict-stream", "train"]),
+        ("Q", ["train"]),
     ])
     def test_bad_numeric_fallback_is_a_usage_error(self, name, commands, monkeypatch, capsys):
         monkeypatch.setenv(f"FRAMEFUSE_{name}", "abc")
@@ -266,6 +266,43 @@ class TestTrain:
         )
         assert code == 4
         assert "not a number" in capsys.readouterr().err
+
+    def test_foreign_labels_exit_backend_failure(self, manifests, capsys):
+        offline, crossval = manifests
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval),
+            "--backend", f"external:{sys.executable} {FAKE_BACKEND} --foreign",
+        )
+        assert code == 4
+        assert "lacks labels" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bound", [
+        ("--q", "1.5"), ("--q", "nan"), ("--q", "0"), ("--max-retrain-rounds", "-1"),
+    ])
+    def test_bad_bounds_exit_schema_before_the_backend_starts(self, bound, manifests, capsys):
+        offline, crossval = manifests
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval),
+            "--backend", "external:no-such-binary-zzz", *bound,
+        )
+        assert code == 2
+        assert "must be" in capsys.readouterr().err
+
+    def test_zero_rounds_never_retrains(self, manifests, tmp_path):
+        offline, crossval = manifests
+        report_path = tmp_path / "report.json"
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval), "--output", str(report_path),
+            "--backend", f"external:{sys.executable} {FAKE_BACKEND} --wrong",
+            "--max-retrain-rounds", "0",
+        )
+        assert code == 3
+        report = json.loads(report_path.read_text())
+        assert report["phases"] == ["offline", "online_validation", "done"]
+        assert report["accuracy_history"] == [0.25]
 
 
 class TestEctiCommand:

@@ -2,18 +2,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framefuse.backends import MemorizingBackend
+from framefuse.backends import MemorizingBackend, ProtocolError
 from framefuse.training import (
-    ALLOWED_TRANSITIONS,
     ManifestError,
     Phase,
-    PhaseError,
     TrainingSession,
-    evaluate_accuracy,
     load_manifest,
-    run_offline,
-    run_online_validation,
-    run_retrain,
     run_session,
     session_report,
 )
@@ -38,24 +32,39 @@ def scripted_backend(crossval, schedule):
     return ScriptedAccuracyBackend(truth=dict(crossval), labels=LABELS, schedule=schedule)
 
 
+def validate_once(backend, crossval_set, offline_set=None):
+    """Train offline and validate once, with no retrain round."""
+    session = TrainingSession(offline_set=offline_set or labeled_items(12, "train"),
+                              crossval_set=crossval_set, max_retrain_rounds=0)
+    return run_session(session, backend)
+
+
+class PhaseRecorder:
+    """Backend proxy that logs each call as op@phase, read from the session."""
+
+    def __init__(self, inner, session):
+        self.inner, self.session, self.calls = inner, session, []
+
+    def train(self, items):
+        self.calls.append(f"train@{self.session.phase.value}")
+        return self.inner.train(items)
+
+    def predict(self, ref):
+        self.calls.append(f"predict@{self.session.phase.value}")
+        return self.inner.predict(ref)
+
+
 class TestOffline:
     def test_memorizing_backend_learns_training_items(self):
-        session = fresh_session()
         backend = MemorizingBackend(LABELS)
-        run_offline(session, backend)
-        assert session.phase is Phase.ONLINE_VALIDATION
+        session = validate_once(backend, labeled_items(100, "cv"))
+        assert session.phase_history[:2] == [Phase.OFFLINE, Phase.ONLINE_VALIDATION]
         for ref, label in session.offline_set:
             assert max(backend.predict(ref), key=backend.predict(ref).get) == label
 
     def test_empty_offline_set_rejected(self):
-        session = fresh_session(offline_set=[])
         with pytest.raises(ValueError):
-            run_offline(session, MemorizingBackend(LABELS))
-
-    def test_wrong_phase_rejected(self):
-        session = fresh_session(phase=Phase.DONE)
-        with pytest.raises(PhaseError):
-            run_offline(session, MemorizingBackend(LABELS))
+            fresh_session(offline_set=[])
 
     def test_train_acknowledges_item_count(self):
         backend = MemorizingBackend(LABELS)
@@ -64,28 +73,23 @@ class TestOffline:
 
 class TestOnlineValidation:
     def test_high_accuracy_finishes(self):
-        session = fresh_session(phase=Phase.ONLINE_VALIDATION)
-        backend = scripted_backend(session.crossval_set, [0.93])
-        backend.train_calls = 1
-        run_online_validation(session, backend)
-        assert session.final_accuracy == pytest.approx(0.93)
+        crossval = labeled_items(100, "cv")
+        session = validate_once(scripted_backend(crossval, [0.93]), crossval)
+        assert session.accuracy_history[0] == pytest.approx(0.93)
         assert session.phase is Phase.DONE
         assert session.quality_met is True
         assert len(session.refeed_stack) == 7
 
     def test_low_accuracy_requests_retrain(self):
-        session = fresh_session(phase=Phase.ONLINE_VALIDATION)
-        backend = scripted_backend(session.crossval_set, [0.65])
-        backend.train_calls = 1
-        run_online_validation(session, backend)
-        assert session.phase is Phase.RETRAIN
+        crossval = labeled_items(100, "cv")
+        session = validate_once(scripted_backend(crossval, [0.65]), crossval)
+        assert session.quality_met is False
         assert len(session.refeed_stack) == 35
 
     def test_stack_contents_and_pop_order(self):
-        session = fresh_session(phase=Phase.ONLINE_VALIDATION)
-        backend = scripted_backend(session.crossval_set, [0.65])
-        backend.train_calls = 1
-        run_online_validation(session, backend)
+        crossval = labeled_items(100, "cv")
+        backend = scripted_backend(crossval, [0.65])
+        session = validate_once(backend, crossval)
         wrong = set(backend.wrong_refs())
         assert {ref for ref, _ in session.refeed_stack} == wrong
         encounter_order = [ref for ref, _ in session.crossval_set if ref in wrong]
@@ -93,12 +97,9 @@ class TestOnlineValidation:
         assert popped == list(reversed(encounter_order))
 
     def test_perfect_backend(self):
-        session = fresh_session()
-        backend = MemorizingBackend(LABELS)
-        backend.train(session.crossval_set)
-        session.phase = Phase.ONLINE_VALIDATION
-        run_online_validation(session, backend)
-        assert session.final_accuracy == 1.0
+        crossval = labeled_items(100, "cv")
+        session = validate_once(MemorizingBackend(LABELS), crossval, offline_set=crossval)
+        assert session.accuracy_history == [1.0]
         assert session.refeed_stack == []
         assert session.phase is Phase.DONE
 
@@ -121,74 +122,109 @@ class TestRetrain:
         assert session.quality_met is False
         assert session.retrain_rounds_used == 2
         assert session.best_accuracy == pytest.approx(0.5)
+        assert session.accuracy_history == [pytest.approx(0.5)] * 3
 
-    def test_empty_stack_consumes_round_without_training(self):
-        session = fresh_session(phase=Phase.RETRAIN)
-        session.accuracy_history.append(0.6)
-        backend = scripted_backend(session.crossval_set, [0.6])
-        run_retrain(session, backend)
-        assert backend.train_calls == 0
-        assert session.retrain_rounds_used == 1
-        assert session.quality_met is False
-        assert session.final_accuracy == pytest.approx(0.6)
+    def test_calls_are_tagged_with_their_phase(self):
+        session = fresh_session()
+        n = len(session.crossval_set)
+        recorder = PhaseRecorder(scripted_backend(session.crossval_set, [0.5, 0.9]), session)
+        run_session(session, recorder)
+        assert recorder.calls == (["train@offline"] + ["predict@online_validation"] * n
+                                  + ["train@retrain"] + ["predict@retrain"] * n)
 
 
 class TestEvaluateAccuracy:
     def test_all_correct(self):
         items = labeled_items(10)
-        backend = MemorizingBackend(LABELS)
-        backend.train(items)
-        assert evaluate_accuracy(backend, items) == 1.0
+        session = validate_once(MemorizingBackend(LABELS), items, offline_set=items)
+        assert session.accuracy_history[0] == 1.0
 
     def test_half_correct(self):
         items = labeled_items(10)
-        backend = MemorizingBackend(LABELS)
-        backend.train(items[:5])
+        session = validate_once(MemorizingBackend(LABELS), items, offline_set=items[:5])
         # untrained refs answer uniformly; tie-break picks "Empty", so only
         # the trained half is guaranteed correct plus any lucky Empty items
         wrong = [item for item in items[5:] if item[1] != "Empty"]
         expected = (10 - len(wrong)) / 10
-        assert evaluate_accuracy(backend, items) == pytest.approx(expected)
+        assert session.accuracy_history[0] == pytest.approx(expected)
+        assert session.refeed_stack == wrong
 
     def test_accuracy_close_to_publishable_ratio(self):
         # 93 of 94 correct reproduces a 98.93%-style accuracy from counts
         items = labeled_items(94)
-        backend = scripted_backend(items, [93 / 94])
-        backend.train_calls = 1
-        assert evaluate_accuracy(backend, items) == pytest.approx(0.9893, abs=1e-4)
+        session = validate_once(scripted_backend(items, [93 / 94]), items)
+        assert session.accuracy_history[0] == pytest.approx(0.9893, abs=1e-4)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
-            evaluate_accuracy(MemorizingBackend(LABELS), [])
+            fresh_session(crossval_set=[])
 
     def test_measurement_is_pure(self):
         items = labeled_items(50)
         backend = scripted_backend(items, [0.8])
-        backend.train_calls = 1
-        assert evaluate_accuracy(backend, items) == evaluate_accuracy(backend, items)
+        first, second = validate_once(backend, items), validate_once(backend, items)
+        assert first.accuracy_history == second.accuracy_history
+        assert first.refeed_stack == second.refeed_stack
+
+
+class StubBackend:
+    """Trains nothing and answers every predict with the same scores."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def train(self, items):
+        return len(items)
+
+    def predict(self, ref):
+        return dict(self.scores)
+
+
+class TestReplyRule:
+    @pytest.mark.parametrize("scores", [
+        {"Empty": 0.5, "Fluid": 0.5, "Heavy": 0.0},  # lacks "Jam"
+        {"Empty": 0.7, "Fluid": 0.1, "Heavy": 0.1, "Jam": 0.2},  # sums to 1.1
+        {"Foo": 0.9, "Bar": 0.9},
+    ])
+    def test_bad_reply_is_a_protocol_error(self, scores):
+        with pytest.raises(ProtocolError):
+            validate_once(StubBackend(scores), labeled_items(8))
+
+    def test_float32_rounding_is_accepted(self):
+        scores = {"Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0.0}
+        session = validate_once(StubBackend(scores), labeled_items(8))
+        assert session.accuracy_history == [0.25]
 
 
 class TestStateMachine:
     @given(
         schedule=st.lists(st.sampled_from([0.2, 0.5, 0.69, 0.7, 0.8, 1.0]),
                           min_size=1, max_size=4),
-        max_rounds=st.integers(min_value=1, max_value=3),
+        max_rounds=st.integers(min_value=0, max_value=3),
     )
     @settings(max_examples=60, deadline=None)
-    def test_transitions_stay_on_declared_graph(self, schedule, max_rounds):
+    def test_each_round_validates_once(self, schedule, max_rounds):
         session = fresh_session(max_retrain_rounds=max_rounds,
                                 crossval_set=labeled_items(20, "cv"))
-        backend = scripted_backend(session.crossval_set, schedule)
-        run_session(session, backend)
-        for before, after in zip(session.phase_history, session.phase_history[1:]):
-            assert (before, after) in ALLOWED_TRANSITIONS
-        assert session.phase is Phase.DONE
+        recorder = PhaseRecorder(scripted_backend(session.crossval_set, schedule), session)
+        run_session(session, recorder)
+        k = session.retrain_rounds_used
+        assert session_report(session)["phases"] == (
+            ["offline", "online_validation"] + ["retrain"] * k + ["done"])
+        assert len(session.accuracy_history) == 1 + k
+        assert recorder.calls.count("predict@online_validation") + recorder.calls.count(
+            "predict@retrain") == 20 * (1 + k)
+        # the model after r + 1 train calls scores schedule[r], clamped
+        assert session.accuracy_history == [
+            (20 - round((1 - schedule[min(r, len(schedule) - 1)]) * 20)) / 20
+            for r in range(1 + k)
+        ]
         # threshold gate: finishing cleanly implies the last accuracy made Q
         if session.quality_met:
             assert session.final_accuracy >= session.q_threshold
         else:
             assert session.best_accuracy < session.q_threshold
-        assert session.retrain_rounds_used <= max_rounds
+            assert k == max_rounds
 
 
 class TestManifest:
