@@ -9,12 +9,16 @@ a JSON-lines protocol to a subprocess serving a real model.
 from __future__ import annotations
 
 import json
+import math
 import shlex
 import subprocess
-from typing import Dict, Protocol, Sequence, Tuple
+from typing import Collection, Dict, Protocol, Sequence, Tuple
 
 PROTOCOL_VERSION = 1
 CLOSE_WAIT_S = 10.0  # how long close() waits for the child before killing it
+# Predict scores are raw classifier outputs, which sum to 1 only as closely
+# as a float32 softmax does.
+SCORE_SUM_TOLERANCE = 1e-3
 
 LabeledItem = Tuple[str, str]  # (image ref, true label)
 
@@ -31,6 +35,27 @@ class ClassifierBackend(Protocol):
     def train(self, items: Sequence[LabeledItem]) -> int: ...
 
     def predict(self, ref: str) -> Dict[str, float]: ...
+
+
+def check_scores(scores: object, labels: Collection[str]) -> Dict[str, float]:
+    """Return a predict reply's scores as floats, or raise ProtocolError.
+
+    The scores must be numbers in [0, 1], cover every label in ``labels``
+    and sum to 1 within SCORE_SUM_TOLERANCE.
+    """
+    if not isinstance(scores, dict) or not scores:
+        raise ProtocolError(f"predict reply without scores: {scores!r}")
+    for label, value in scores.items():
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not 0.0 <= value <= 1.0):
+            raise ProtocolError(f"score for {label!r} is not a number in [0, 1]: {value!r}")
+    missing = set(labels) - scores.keys()
+    if missing:
+        raise ProtocolError(f"predict reply lacks labels {sorted(missing)}")
+    total = math.fsum(scores.values())
+    if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
+        raise ProtocolError(f"predict scores sum to {total!r}, not 1")
+    return {str(label): float(value) for label, value in scores.items()}
 
 
 def _one_hot(labels: Sequence[str], chosen: str) -> Dict[str, float]:
@@ -71,7 +96,8 @@ class ExternalBackend:
       <- {"id": n, "ok": true}
     """
 
-    def __init__(self, command: str):
+    def __init__(self, command: str, labels: Sequence[str] = ()):
+        self.labels = tuple(labels)
         try:
             self._proc = subprocess.Popen(
                 shlex.split(command),
@@ -125,14 +151,7 @@ class ExternalBackend:
 
     def predict(self, ref: str) -> Dict[str, float]:
         reply = self._call({"op": "predict", "image": ref})
-        scores = reply.get("scores")
-        if not isinstance(scores, dict) or not scores:
-            raise ProtocolError(f"predict reply without scores: {reply}")
-        for label, value in scores.items():
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not 0.0 <= value <= 1.0):
-                raise ProtocolError(f"score for {label!r} is not a number in [0, 1]: {value!r}")
-        return {str(label): float(value) for label, value in scores.items()}
+        return check_scores(reply.get("scores"), self.labels)
 
     def close(self) -> None:
         """Close both pipes and reap the child, killing it if it outlives CLOSE_WAIT_S."""

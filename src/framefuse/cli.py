@@ -128,7 +128,7 @@ def _make_backend(spec: str, labels: Sequence[str]):
     if spec == "synthetic":
         return MemorizingBackend(labels)
     if spec.startswith("external:"):
-        return ExternalBackend(spec[len("external:"):])
+        return ExternalBackend(spec[len("external:"):], labels)
     raise ValueError(f"unknown backend {spec!r}")
 
 

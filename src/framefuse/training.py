@@ -16,13 +16,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
-from .backends import BackendError, ClassifierBackend, LabeledItem, ProtocolError
+from .backends import BackendError, ClassifierBackend, LabeledItem
 from .bayes import argmax_label
 
 DEFAULT_Q = 0.7
-# Predict scores are raw classifier outputs, which sum to 1 only as closely
-# as a float32 softmax does.
-SCORE_SUM_TOLERANCE = 1e-3
 
 
 class Phase(enum.Enum):
@@ -49,7 +46,6 @@ class TrainingSession:
     accuracy_history: List[float] = field(init=False, default_factory=list)
     retrain_rounds_used: int = field(init=False, default=0)
     quality_met: Optional[bool] = field(init=False, default=None)
-    phase_history: List[Phase] = field(init=False, default_factory=lambda: [Phase.OFFLINE])
 
     def __post_init__(self) -> None:
         if not self.offline_set:
@@ -69,36 +65,20 @@ class TrainingSession:
     def best_accuracy(self) -> Optional[float]:
         return max(self.accuracy_history) if self.accuracy_history else None
 
-    def _enter(self, phase: Phase) -> None:
-        self.phase = phase
-        self.phase_history.append(phase)
-
 
 def _validate(session: TrainingSession, backend: ClassifierBackend) -> float:
-    """Predict every cross-validation item once, restacking the misses.
-
-    Records and returns the accuracy. A reply that lacks a manifest label or
-    whose scores do not sum to 1 is a ProtocolError.
-    """
-    labels = {label for _, label in session.offline_set + session.crossval_set}
+    """Predict each cross-validation item once; stack the misses, record the accuracy."""
     session.refeed_stack = []
     correct = 0
     for ref, true_label in session.crossval_set:
         try:
-            scores = backend.predict(ref)
+            predicted, _ = argmax_label(backend.predict(ref))
         except BackendError as exc:
             done = correct + len(session.refeed_stack)
             raise BackendError(
                 f"backend failed mid-validation after {done} of "
                 f"{len(session.crossval_set)} items ({correct} correct): {exc}"
             ) from exc
-        missing = labels - scores.keys()
-        if missing:
-            raise ProtocolError(f"predict reply for {ref!r} lacks labels {sorted(missing)}")
-        total = math.fsum(scores.values())
-        if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
-            raise ProtocolError(f"predict scores for {ref!r} sum to {total!r}, not 1")
-        predicted, _ = argmax_label(scores)
         if predicted == true_label:
             correct += 1
         else:
@@ -118,22 +98,24 @@ def run_session(session: TrainingSession, backend: ClassifierBackend) -> Trainin
         backend.train(session.offline_set)
     except BackendError as exc:
         raise BackendError(f"offline training failed: {exc}") from exc
-    session._enter(Phase.ONLINE_VALIDATION)
+    session.phase = Phase.ONLINE_VALIDATION
     accuracy = _validate(session, backend)
     while (accuracy < session.q_threshold
            and session.retrain_rounds_used < session.max_retrain_rounds):
-        session._enter(Phase.RETRAIN)
+        session.phase = Phase.RETRAIN
         session.retrain_rounds_used += 1
         backend.train(session.refeed_stack)
         accuracy = _validate(session, backend)
     session.quality_met = accuracy >= session.q_threshold
-    session._enter(Phase.DONE)
+    session.phase = Phase.DONE
     return session
 
 
 def session_report(session: TrainingSession) -> dict:
     return {
-        "phases": [phase.value for phase in session.phase_history],
+        "phases": ([Phase.OFFLINE.value, Phase.ONLINE_VALIDATION.value]
+                   + [Phase.RETRAIN.value] * session.retrain_rounds_used
+                   + [Phase.DONE.value]),
         "accuracy_history": session.accuracy_history,
         "final_accuracy": session.final_accuracy,
         "best_accuracy": session.best_accuracy,

@@ -17,6 +17,26 @@ def backend_command(*flags):
     return " ".join([sys.executable, str(FAKE_BACKEND), *flags])
 
 
+class TestCheckScores:
+    LABELS = ["Empty", "Fluid", "Heavy", "Jam"]
+
+    @pytest.mark.parametrize("scores", [
+        {"Empty": 0.5, "Fluid": 0.5, "Heavy": 0.0},  # lacks "Jam"
+        {"Empty": 0.7, "Fluid": 0.1, "Heavy": 0.1, "Jam": 0.2},  # sums to 1.1
+        {"Foo": 0.9, "Bar": 0.9},
+        {"Empty": 1.0, "Fluid": 0.0, "Heavy": 0.0, "Jam": True},  # not a number
+        {},
+    ])
+    def test_bad_reply_is_a_protocol_error(self, scores):
+        with pytest.raises(ProtocolError):
+            backends.check_scores(scores, self.LABELS)
+
+    def test_float32_rounding_and_extra_labels_are_accepted(self):
+        scores = {"Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0}
+        assert backends.check_scores(scores, self.LABELS) == {
+            "Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0.0}
+
+
 class TestExternalBackend:
     def test_handshake_and_predict(self):
         with ExternalBackend(backend_command()) as backend:
@@ -41,6 +61,11 @@ class TestExternalBackend:
     def test_nan_score_is_a_protocol_error(self):
         with ExternalBackend(backend_command("--nan")) as backend:
             with pytest.raises(ProtocolError, match="not a number"):
+                backend.predict("a.jpg")
+
+    def test_reply_lacking_a_manifest_label_is_a_protocol_error(self):
+        with ExternalBackend(backend_command("--foreign"), ["Fluid", "Jam"]) as backend:
+            with pytest.raises(ProtocolError, match="lacks labels"):
                 backend.predict("a.jpg")
 
     def test_close_kills_a_child_that_ignores_eof(self, monkeypatch):

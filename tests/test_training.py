@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framefuse.backends import MemorizingBackend, ProtocolError
+from framefuse.backends import MemorizingBackend
 from framefuse.training import (
     ManifestError,
     Phase,
@@ -58,7 +58,7 @@ class TestOffline:
     def test_memorizing_backend_learns_training_items(self):
         backend = MemorizingBackend(LABELS)
         session = validate_once(backend, labeled_items(100, "cv"))
-        assert session.phase_history[:2] == [Phase.OFFLINE, Phase.ONLINE_VALIDATION]
+        assert session_report(session)["phases"] == ["offline", "online_validation", "done"]
         for ref, label in session.offline_set:
             assert max(backend.predict(ref), key=backend.predict(ref).get) == label
 
@@ -167,35 +167,6 @@ class TestEvaluateAccuracy:
         assert first.refeed_stack == second.refeed_stack
 
 
-class StubBackend:
-    """Trains nothing and answers every predict with the same scores."""
-
-    def __init__(self, scores):
-        self.scores = scores
-
-    def train(self, items):
-        return len(items)
-
-    def predict(self, ref):
-        return dict(self.scores)
-
-
-class TestReplyRule:
-    @pytest.mark.parametrize("scores", [
-        {"Empty": 0.5, "Fluid": 0.5, "Heavy": 0.0},  # lacks "Jam"
-        {"Empty": 0.7, "Fluid": 0.1, "Heavy": 0.1, "Jam": 0.2},  # sums to 1.1
-        {"Foo": 0.9, "Bar": 0.9},
-    ])
-    def test_bad_reply_is_a_protocol_error(self, scores):
-        with pytest.raises(ProtocolError):
-            validate_once(StubBackend(scores), labeled_items(8))
-
-    def test_float32_rounding_is_accepted(self):
-        scores = {"Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0.0}
-        session = validate_once(StubBackend(scores), labeled_items(8))
-        assert session.accuracy_history == [0.25]
-
-
 class TestStateMachine:
     @given(
         schedule=st.lists(st.sampled_from([0.2, 0.5, 0.69, 0.7, 0.8, 1.0]),
@@ -209,6 +180,7 @@ class TestStateMachine:
         recorder = PhaseRecorder(scripted_backend(session.crossval_set, schedule), session)
         run_session(session, recorder)
         k = session.retrain_rounds_used
+        assert k <= max_rounds
         assert session_report(session)["phases"] == (
             ["offline", "online_validation"] + ["retrain"] * k + ["done"])
         assert len(session.accuracy_history) == 1 + k
@@ -222,6 +194,8 @@ class TestStateMachine:
         # threshold gate: finishing cleanly implies the last accuracy made Q
         if session.quality_met:
             assert session.final_accuracy >= session.q_threshold
+            # the loop stops at the first round that reaches Q
+            assert all(a < session.q_threshold for a in session.accuracy_history[:-1])
         else:
             assert session.best_accuracy < session.q_threshold
             assert k == max_rounds
