@@ -35,19 +35,32 @@ def _check_score(name: str, value: float) -> None:
         raise ScoreDomainError(f"{name} must be in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+@dataclass(slots=True)
 class CategoryDistribution:
-    """One frame's classifier scores, keyed by category label."""
+    """One frame's classifier scores, keyed by category label.
+
+    Each score must be an int or float (not a bool) in [0, 1]; NaN fails the
+    range test. The distribution keeps its own copy of the map.
+    """
 
     frame_id: int
     scores: Mapping[str, float]
 
     def __post_init__(self) -> None:
-        if not self.scores:
+        scores = dict(self.scores)
+        if not scores:
             raise ScoreDomainError("a frame needs at least one category score")
-        for label, value in self.scores.items():
-            _check_score(f"score[{label}]", value)
-        object.__setattr__(self, "scores", dict(self.scores))
+        for label, value in scores.items():
+            # The float test first: a JSON score is almost always a float.
+            if not (value.__class__ is float or _is_number(value)) or not 0.0 <= value <= 1.0:
+                raise ScoreDomainError(
+                    f"score[{label}] must be a number in [0, 1], got {value!r}"
+                )
+        self.scores = scores
 
 
 @dataclass(frozen=True)
@@ -67,7 +80,7 @@ class ClassifierProfile:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class PosteriorState:
     """Chained per-category posteriors plus bookkeeping for one stream window.
 
@@ -105,14 +118,15 @@ def chain_update(
 ) -> PosteriorState:
     """Advance the chained posterior with one frame, returning a new state.
 
-    An empty state adopts the frame's raw scores verbatim; afterwards every
-    category's posterior is fed back as the prior for the next frame. Scores
-    were checked by CategoryDistribution and p_cnn > 0 by ClassifierProfile,
-    so the update is applied without further checks.
+    An empty state adopts the frame's own score map as its posteriors (no
+    copy: neither the frame nor the chain ever mutates a map); afterwards
+    every category's posterior is fed back as the prior for the next frame.
+    Scores were checked by CategoryDistribution and p_cnn > 0 by
+    ClassifierProfile, so the update is applied without further checks.
     """
     scores = frame.scores
     if state.steps_applied == 0:
-        posteriors = dict(scores)
+        posteriors = scores
     else:
         if scores.keys() != state.posteriors.keys():
             raise LabelSetMismatchError(
@@ -133,10 +147,14 @@ def chain_update(
 
 def argmax_label(posteriors: Mapping[str, float]) -> Tuple[str, float]:
     """Label with the highest posterior; ties break lexicographically."""
-    if not posteriors:
+    items = iter(posteriors.items())
+    for best_label, best_value in items:
+        break
+    else:
         raise ValueError("cannot take argmax of an empty posterior map")
-    best_value = max(posteriors.values())
-    best_label = min(label for label, value in posteriors.items() if value == best_value)
+    for label, value in items:
+        if value > best_value or (value == best_value and label < best_label):
+            best_label, best_value = label, value
     return best_label, best_value
 
 

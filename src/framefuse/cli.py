@@ -1,7 +1,10 @@
 """Command-line surface: stream prediction, training, energy and thermal reports.
 
 Exit codes: 0 success, 2 schema/input error, 3 quality-not-met, 4 backend
-failure. Every flag has a FRAMEFUSE_* environment variable fallback. Each
+failure. Some flags fall back to a FRAMEFUSE_* environment variable:
+FRAMEFUSE_OUTPUT (every command), FRAMEFUSE_INPUT, FRAMEFUSE_WINDOW,
+FRAMEFUSE_P_CNN, FRAMEFUSE_FORMAT and FRAMEFUSE_AUTO_RESET (predict-stream),
+FRAMEFUSE_BACKEND and FRAMEFUSE_Q (train); no other flag has one. Each
 command imports the modules it needs when it runs, so predict-stream loads
 only the stream core.
 """
@@ -53,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--p-cnn", type=float, default=_env("P_CNN", "0.9893"))
     predict.add_argument("--format", choices=("jsonl", "csv"), default=_env("FORMAT", "jsonl"))
     predict.add_argument("--frame-interval", type=float, default=None,
-                         help="seconds between frames, reported as event wall_time")
+                         help="seconds between frames (finite, > 0), reported as event wall_time")
     reset = predict.add_mutually_exclusive_group()
     reset.add_argument("--auto-reset", dest="auto_reset", action="store_true",
                        default=_env_flag("AUTO_RESET", True))
@@ -82,11 +85,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(path: str, text: str) -> None:
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text)
+def _write_report(path: str, report: dict) -> bool:
+    """Write the report as indented JSON; on failure print the error and return False."""
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    try:
+        if path == "-":
+            sys.stdout.write(text)
+        else:
+            Path(path).write_text(text)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return False
+    return True
 
 
 def _open(path: str, mode: str):
@@ -163,7 +173,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         if isinstance(backend, ExternalBackend):
             backend.close()
     report = training.session_report(session)
-    _write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if not _write_report(args.output, report):
+        return EXIT_SCHEMA
     return EXIT_OK if report["quality_met"] else EXIT_QUALITY_NOT_MET
 
 
@@ -204,8 +215,7 @@ def cmd_ecti(args: argparse.Namespace) -> int:
         ],
         "selected": selected,
     }
-    _write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return EXIT_OK if _write_report(args.output, report) else EXIT_SCHEMA
 
 
 def cmd_thermal(args: argparse.Namespace) -> int:
@@ -229,8 +239,7 @@ def cmd_thermal(args: argparse.Namespace) -> int:
             for interval in energy.LIFESPAN_DOUBLING_INTERVALS
         },
     }
-    _write(args.output, json.dumps(report, indent=2, sort_keys=True) + "\n")
-    return EXIT_OK
+    return EXIT_OK if _write_report(args.output, report) else EXIT_SCHEMA
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

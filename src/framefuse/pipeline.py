@@ -10,7 +10,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import (
@@ -38,9 +40,13 @@ class StreamSchemaError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StreamEvent:
-    """Per-frame output: the classifier's verdict and the temporal verdict."""
+    """Per-frame output: the classifier's verdict and the temporal verdict.
+
+    On a window's first frame ``tmav_scores`` is the same map object as
+    ``raw_scores``.
+    """
 
     frame_id: int
     raw_label: str
@@ -60,6 +66,13 @@ class StreamConfig:
     frame_interval_seconds: Optional[float] = None
     stream_id: str = ""
 
+    def __post_init__(self) -> None:
+        if self.capacity_n < 0:
+            raise ValueError("capacity_n must be >= 0")
+        interval = self.frame_interval_seconds
+        if interval is not None and not 0.0 < interval < math.inf:
+            raise ValueError(f"frame interval must be finite and > 0, got {interval!r}")
+
 
 class StreamFold:
     """One stream's running Bayes fold.
@@ -70,8 +83,6 @@ class StreamFold:
     """
 
     def __init__(self, config: StreamConfig):
-        if config.capacity_n < 0:
-            raise ValueError("capacity_n must be >= 0")
         warn_if_window_too_long(config.capacity_n)
         self.config = config
         self.chain = PosteriorState.initial()
@@ -87,13 +98,15 @@ class StreamFold:
                 f"{self.last_frame_id}"
             )
         chain = chain_update(self.chain, frame, config.profile)
+        raw_label = argmax_label(frame.scores)[0]
+        posteriors = chain.posteriors
         interval = config.frame_interval_seconds
         event = StreamEvent(
             frame_id=frame.frame_id,
-            raw_label=argmax_label(frame.scores)[0],
+            raw_label=raw_label,
             raw_scores=frame.scores,
-            tmav_label=argmax_label(chain.posteriors)[0],
-            tmav_scores=chain.posteriors,
+            tmav_label=raw_label if posteriors is frame.scores else argmax_label(posteriors)[0],
+            tmav_scores=posteriors,
             degenerate=chain.degenerate,
             wall_time=None if interval is None else interval * self.frames_seen,
             stream_id=config.stream_id,
@@ -122,7 +135,7 @@ def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribu
     """One JSONL record -> (stream_id, distribution). Raises StreamSchemaError."""
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise StreamSchemaError(line_number, f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise StreamSchemaError(line_number, "record must be a JSON object")
@@ -132,11 +145,13 @@ def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribu
         scores = record["scores"]
     except KeyError as exc:
         raise StreamSchemaError(line_number, f"missing field {exc}") from exc
+    if frame_id.__class__ is not int:
+        raise StreamSchemaError(line_number, f"frame_id must be an integer, got {frame_id!r}")
     if not isinstance(scores, dict) or not scores:
         raise StreamSchemaError(line_number, "scores must be a non-empty object")
     try:
-        dist = CategoryDistribution(frame_id=int(frame_id), scores=scores)
-    except (TypeError, ValueError) as exc:
+        dist = CategoryDistribution(frame_id=frame_id, scores=scores)
+    except ValueError as exc:
         raise StreamSchemaError(line_number, str(exc)) from exc
     return str(stream_id), dist
 
@@ -173,23 +188,31 @@ def fold_lines(lines: Iterable[str], config: StreamConfig) -> Iterator[StreamEve
         yield event
 
 
-def event_to_dict(event: StreamEvent) -> dict:
-    record = {
-        "stream_id": event.stream_id,
-        "frame_id": event.frame_id,
-        "raw_label": event.raw_label,
-        "raw_scores": event.raw_scores,
-        "tmav_label": event.tmav_label,
-        "tmav_scores": event.tmav_scores,
-        "degenerate": event.degenerate,
-    }
-    if event.wall_time is not None:
-        record["wall_time"] = event.wall_time
-    return record
+_SCORES_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 def event_to_json(event: StreamEvent) -> str:
-    return json.dumps(event_to_dict(event), sort_keys=True) + "\n"
+    """One JSON line, byte for byte what ``json.dumps(record, sort_keys=True)``
+    writes for the event's record, built field by field in sorted key order.
+
+    A window's first event shares one map between ``raw_scores`` and
+    ``tmav_scores``, so that map is encoded once.
+    """
+    raw_scores = _SCORES_ENCODER.encode(event.raw_scores)
+    if event.tmav_scores is event.raw_scores:
+        tmav_scores = raw_scores
+    else:
+        tmav_scores = _SCORES_ENCODER.encode(event.tmav_scores)
+    wall_time = "" if event.wall_time is None else f', "wall_time": {event.wall_time!r}'
+    return (
+        f'{{"degenerate": {"true" if event.degenerate else "false"}, '
+        f'"frame_id": {event.frame_id!r}, '
+        f'"raw_label": {encode_basestring_ascii(event.raw_label)}, '
+        f'"raw_scores": {raw_scores}, '
+        f'"stream_id": {encode_basestring_ascii(event.stream_id)}, '
+        f'"tmav_label": {encode_basestring_ascii(event.tmav_label)}, '
+        f'"tmav_scores": {tmav_scores}{wall_time}}}\n'
+    )
 
 
 def events_to_jsonl(events: Sequence[StreamEvent]) -> str:

@@ -65,6 +65,23 @@ def oracle_fold(score_maps, p_cnn):
     return chain
 
 
+def event_to_dict(event):
+    """An event's JSON record: the oracle for pipeline.event_to_json, which
+    must write exactly json.dumps(event_to_dict(event), sort_keys=True)."""
+    record = {
+        "stream_id": event.stream_id,
+        "frame_id": event.frame_id,
+        "raw_label": event.raw_label,
+        "raw_scores": event.raw_scores,
+        "tmav_label": event.tmav_label,
+        "tmav_scores": event.tmav_scores,
+        "degenerate": event.degenerate,
+    }
+    if event.wall_time is not None:
+        record["wall_time"] = event.wall_time
+    return record
+
+
 @pytest.fixture
 def traffic_profile():
     return ClassifierProfile(model_name="VGG16", p_cnn=TABLE1_P_CNN)

@@ -155,6 +155,13 @@ class TestArgmax:
         with pytest.raises(ValueError):
             argmax_label({})
 
+    @given(st.dictionaries(st.text(max_size=3), st.sampled_from([0.0, 0.25, 0.5]), min_size=1))
+    def test_matches_the_two_pass_definition(self, posteriors):
+        # Few distinct values, so most maps hold ties in every key order.
+        best = max(posteriors.values())
+        expected = min(label for label, value in posteriors.items() if value == best)
+        assert argmax_label(posteriors) == (expected, best)
+
     @given(
         values=st.lists(pos_scores, min_size=2, max_size=6),
         factor=st.floats(min_value=0.01, max_value=1.0),
@@ -203,5 +210,8 @@ def test_distribution_validation():
         CategoryDistribution(frame_id=1, scores={})
     with pytest.raises(ScoreDomainError):
         CategoryDistribution(frame_id=1, scores={"a": 1.2})
+    for bad in (float("nan"), -0.1, True, "0.5", None):
+        with pytest.raises(ScoreDomainError, match=r"score\[b\]"):
+            CategoryDistribution(frame_id=1, scores={"a": 0.5, "b": bad})
     dist = CategoryDistribution(frame_id=1, scores={"a": 0.5})
     assert math.isclose(dist.scores["a"], 0.5)

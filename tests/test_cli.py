@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import framefuse
 from framefuse.bayes import ClassifierProfile
@@ -63,6 +65,30 @@ class TestPredictStream:
         assert run_cli("predict-stream", "--input", str(src)) == 2
         assert "line 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("record", [
+        '{"stream_id": "s", "frame_id": 1e400, "scores": {"a": 0.5}}',
+        '{"stream_id": "s", "frame_id": Infinity, "scores": {"a": 0.5}}',
+        '{"stream_id": "s", "frame_id": 2.7, "scores": {"a": 0.5}}',
+        '{"stream_id": "s", "frame_id": 2, "scores": {"a": true}}',
+        "[" * 100_000,
+    ], ids=["frame_id-1e400", "frame_id-Infinity", "frame_id-2.7", "bool-score", "nested-too-deep"])
+    def test_bad_record_exits_schema_without_output(self, record, tmp_path, capsys):
+        src = tmp_path / "bad.jsonl"
+        src.write_text(record + "\n")
+        assert run_cli("predict-stream", "--input", str(src)) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line 1: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("interval", ["nan", "inf", "-1", "0"])
+    def test_bad_frame_interval_exits_schema(self, interval, fixtures_dir, capsys):
+        code = run_cli("predict-stream", "--input", str(fixtures_dir / "table1_traffic.jsonl"),
+                       "--frame-interval", interval)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert "frame interval" in captured.err
+        assert captured.out == ""
+
     def test_csv_format(self, fixtures_dir, tmp_path):
         out = tmp_path / "events.csv"
         run_cli(
@@ -93,6 +119,27 @@ class TestPredictStream:
 
 def frame_line(stream_id, frame_id, scores):
     return json.dumps({"stream_id": stream_id, "frame_id": frame_id, "scores": scores})
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=6,
+)
+# JSON number tokens that no Python value dumps to.
+json_tokens = json_values.map(json.dumps) | st.sampled_from(["1e400", "-1e400", "2.7", "1E2", "-0"])
+
+
+@st.composite
+def fuzzed_records(draw):
+    """A valid frame record with its frame_id or one score swapped for any JSON value."""
+    frame_id, score_a = "1", "0.5"
+    if draw(st.booleans()):
+        frame_id = draw(json_tokens)
+    else:
+        score_a = draw(json_tokens)
+    return '{"stream_id": "s", "frame_id": %s, "scores": {"a": %s, "b": 0.5}}' % (frame_id, score_a)
 
 
 class TestStreaming:
@@ -174,6 +221,22 @@ class TestStreaming:
         assert code == "0", proc.stderr
         unwanted = {"numpy", "framefuse.training", "framefuse.energy", "framefuse.backends"}
         assert unwanted.isdisjoint(modules)
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=st.lists(
+        st.text() | st.sampled_from([frame_line("s", 1, {"a": 0.5, "b": 0.5})]) | fuzzed_records(),
+        max_size=4,
+    ), fmt=st.sampled_from(["jsonl", "csv"]))
+    def test_any_input_exits_ok_or_schema(self, lines, fmt, tmp_path):
+        src = tmp_path / "frames.jsonl"
+        # surrogatepass: a lone surrogate becomes bytes that are not UTF-8.
+        src.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
+        code = run_cli("predict-stream", "--input", str(src), "--output", os.devnull,
+                       "--format", fmt)
+        assert code in (0, 2)
 
 
 class TestEnvFallbacks:
@@ -303,6 +366,19 @@ class TestTrain:
         report = json.loads(report_path.read_text())
         assert report["phases"] == ["offline", "online_validation", "done"]
         assert report["accuracy_history"] == [0.25]
+
+
+@pytest.mark.parametrize("command", ["train", "ecti", "thermal"])
+def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys):
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
+    argv = {
+        "train": ["--offline-manifest", str(manifest), "--crossval-manifest", str(manifest)],
+        "ecti": ["--run", f"{fixtures_dir / 'vgg16_meta.json'},{fixtures_dir / 'vgg16_power.csv'}"],
+        "thermal": ["--trace", str(fixtures_dir / "vgg16_thermal.csv"), "--baseline-temp", "69.24"],
+    }[command]
+    assert run_cli(command, *argv, "--output", str(tmp_path / "missing" / "r.json")) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestEctiCommand:

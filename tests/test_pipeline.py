@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -8,9 +9,10 @@ from framefuse.bayes import CategoryDistribution, ClassifierProfile
 from framefuse.pipeline import (
     OutOfOrderFrameError,
     StreamConfig,
+    StreamEvent,
     StreamSchemaError,
     analyzable_snippet_seconds,
-    event_to_dict,
+    event_to_json,
     events_to_csv,
     events_to_jsonl,
     process_stream,
@@ -24,8 +26,17 @@ from conftest import (
     TABLE2_EXPECTED,
     TABLE2_FRAMES,
     TABLE2_RAW_LABELS,
+    event_to_dict,
     make_frames,
     oracle_fold,
+)
+
+
+# Labels and stream ids with non-ASCII text, quotes, backslashes, control
+# characters and lone surrogates, all of which JSON escapes.
+escaped_text = st.text(alphabet=st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800é'))
+wire_score_maps = st.dictionaries(
+    escaped_text, st.floats(min_value=0.0, max_value=1.0) | st.integers(0, 1), min_size=1, max_size=6
 )
 
 
@@ -53,7 +64,7 @@ class TestTableStreams:
     def test_single_frame_verdicts_agree(self, traffic_profile):
         events = process_stream(make_frames(TABLE1_FRAMES[:1]), continuous(traffic_profile))
         assert len(events) == 1
-        assert events[0].tmav_scores == events[0].raw_scores
+        assert events[0].tmav_scores is events[0].raw_scores
         assert events[0].tmav_label == events[0].raw_label
 
 
@@ -169,12 +180,42 @@ class TestWireFormats:
         with pytest.raises(StreamSchemaError):
             read_frame_streams(['{"stream_id":"s","frame_id":1,"scores":{"a":7}}'])
 
+    @pytest.mark.parametrize("frame_id", ["1e400", "Infinity", "-Infinity", "2.7", "true", '"5"'])
+    def test_frame_id_must_be_a_json_integer(self, frame_id):
+        line = '{"stream_id": "s", "frame_id": %s, "scores": {"a": 0.5}}' % frame_id
+        with pytest.raises(StreamSchemaError, match="line 3: frame_id must be an integer"):
+            read_frame_streams(["", "", line])
+
+    @pytest.mark.parametrize("score", ["true", "false", '"0.5"', "null", "[0.5]"])
+    def test_score_must_be_a_number(self, score):
+        line = '{"stream_id": "s", "frame_id": 1, "scores": {"b": 0.5, "a": %s}}' % score
+        with pytest.raises(StreamSchemaError, match=r"line 1: score\[a\] must be a number"):
+            read_frame_streams([line])
+
     def test_wall_time_from_frame_interval(self, traffic_profile):
         events = process_stream(
             make_frames(TABLE1_FRAMES),
             continuous(traffic_profile, frame_interval_seconds=1.3),
         )
         assert [e.wall_time for e in events] == [0.0, 1.3, 2.6]
+
+    @given(event=st.builds(
+        StreamEvent,
+        frame_id=st.integers(),
+        raw_label=escaped_text,
+        raw_scores=wire_score_maps,
+        tmav_label=escaped_text,
+        tmav_scores=wire_score_maps,
+        degenerate=st.booleans(),
+        wall_time=st.none() | st.floats(min_value=0.0, allow_infinity=False),
+        stream_id=escaped_text,
+    ), tmav=st.sampled_from(["drawn", "shared", "copy"]))
+    def test_event_to_json_is_json_dumps(self, event, tmav):
+        if tmav == "shared":
+            event = replace(event, tmav_scores=event.raw_scores)
+        elif tmav == "copy":
+            event = replace(event, tmav_scores=dict(event.raw_scores))
+        assert event_to_json(event) == json.dumps(event_to_dict(event), sort_keys=True) + "\n"
 
     def test_analyzable_snippet(self):
         assert analyzable_snippet_seconds(1.3) == pytest.approx(9.1)
