@@ -54,13 +54,19 @@ class CategoryDistribution:
         scores = dict(self.scores)
         if not scores:
             raise ScoreDomainError("a frame needs at least one category score")
-        for label, value in scores.items():
-            # The float test first: a JSON score is almost always a float.
-            if not (value.__class__ is float or _is_number(value)) or not 0.0 <= value <= 1.0:
-                raise ScoreDomainError(
-                    f"score[{label}] must be a number in [0, 1], got {value!r}"
-                )
+        check_scores(scores)
         self.scores = scores
+
+
+def check_scores(scores: Mapping[str, float]) -> None:
+    """The score rule: each score is an int or float (not a bool) in [0, 1].
+
+    NaN fails the range test. Raises ScoreDomainError naming the label.
+    """
+    for label, value in scores.items():
+        # The float test first: a JSON score is almost always a float.
+        if not (value.__class__ is float or _is_number(value)) or not 0.0 <= value <= 1.0:
+            raise ScoreDomainError(f"score[{label}] must be a number in [0, 1], got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -111,6 +117,25 @@ def update_posterior(prior: float, current: float, p_cnn: float) -> float:
     return numerator / denominator
 
 
+def chained_posteriors(
+    prior: Mapping[str, float],
+    scores: Mapping[str, float],
+    p_cnn: float,
+    frame_id: int,
+) -> Dict[str, float]:
+    """One frame's Bayes step for every label: prior*s / (prior*s + p_cnn).
+
+    Scores were checked by the score rule and p_cnn > 0 by ClassifierProfile,
+    so the update is applied without further checks. Raises
+    LabelSetMismatchError when the frame's labels differ from the prior's.
+    """
+    if scores.keys() != prior.keys():
+        raise LabelSetMismatchError(
+            f"frame {frame_id} labels {sorted(scores)} != chain labels {sorted(prior)}"
+        )
+    return {label: (n := x * scores[label]) / (n + p_cnn) for label, x in prior.items()}
+
+
 def chain_update(
     state: PosteriorState,
     frame: CategoryDistribution,
@@ -121,23 +146,12 @@ def chain_update(
     An empty state adopts the frame's own score map as its posteriors (no
     copy: neither the frame nor the chain ever mutates a map); afterwards
     every category's posterior is fed back as the prior for the next frame.
-    Scores were checked by CategoryDistribution and p_cnn > 0 by
-    ClassifierProfile, so the update is applied without further checks.
     """
-    scores = frame.scores
     if state.steps_applied == 0:
-        posteriors = scores
+        posteriors = frame.scores
     else:
-        if scores.keys() != state.posteriors.keys():
-            raise LabelSetMismatchError(
-                f"frame {frame.frame_id} labels {sorted(scores)} != "
-                f"chain labels {sorted(state.posteriors)}"
-            )
-        p_cnn = profile.p_cnn
-        posteriors = {}
-        for label, prior in state.posteriors.items():
-            numerator = prior * scores[label]
-            posteriors[label] = numerator / (numerator + p_cnn)
+        posteriors = chained_posteriors(state.posteriors, frame.scores, profile.p_cnn,
+                                        frame.frame_id)
     return PosteriorState(
         posteriors=posteriors,
         steps_applied=state.steps_applied + 1,

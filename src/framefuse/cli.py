@@ -15,11 +15,12 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import pipeline
 from .bayes import ClassifierProfile
@@ -99,14 +100,51 @@ def _write_report(path: str, report: dict) -> bool:
     return True
 
 
-def _open(path: str, mode: str):
+# The most input read at once. The events of one read leave in one write, so
+# a larger read holds events back for longer and raises event latency.
+READ_BYTES = io.DEFAULT_BUFFER_SIZE
+
+
+class _Batch(list):
+    """Encoded events waiting for their write; also a csv.writer target."""
+
+    write = list.append
+
+
+def _open_binary(path: str, mode: str):
     if path == "-":
-        return contextlib.nullcontext(sys.stdin if mode == "r" else sys.stdout)
+        return contextlib.nullcontext(sys.stdin.buffer if mode == "rb" else sys.stdout.buffer)
     return open(path, mode)
 
 
+def _write_all(sink, data: bytes) -> None:
+    """Write every byte: an unbuffered (raw) sink may take only part of a write."""
+    written = sink.write(data)
+    while written < len(data):
+        written += sink.write(memoryview(data)[written:])
+
+
+def _read_lines(source, before_read) -> Iterator[bytes]:
+    """Yield the input's lines, split at b"\\n", calling before_read() before each read.
+
+    A line cut by a read is carried into the next one; a last line without
+    its newline is still yielded.
+    """
+    tail = b""
+    while True:
+        before_read()
+        chunk = source.read1(READ_BYTES)
+        if not chunk:
+            break
+        lines = (tail + chunk).split(b"\n")
+        tail = lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
 def cmd_predict_stream(args: argparse.Namespace) -> int:
-    """Fold frames line by line, writing each event as soon as its frame is read."""
+    """Fold frames line by line; the events of one input read leave in one write."""
     try:
         profile = ClassifierProfile(model_name="classifier", p_cnn=args.p_cnn)
         config = pipeline.StreamConfig(
@@ -115,17 +153,27 @@ def cmd_predict_stream(args: argparse.Namespace) -> int:
             auto_reset=args.auto_reset,
             frame_interval_seconds=args.frame_interval,
         )
-        with _open(args.input, "r") as source, _open(args.output, "w") as sink:
+        with _open_binary(args.input, "rb") as source, _open_binary(args.output, "wb") as sink:
+            batch = _Batch()
+
+            def write_batch() -> None:
+                if batch:
+                    data = "".join(batch).encode()
+                    batch.clear()
+                    _write_all(sink, data)
+                    sink.flush()
+
             if args.format == "csv":
-                writer = csv.writer(sink, lineterminator="\n")
+                writer = csv.writer(batch, lineterminator="\n")
                 writer.writerow(pipeline.CSV_HEADER)
-                for event in pipeline.fold_lines(source, config):
-                    writer.writerow(pipeline.event_to_csv_row(event))
-                    sink.flush()
+                encode, emit = pipeline.event_to_csv_row, writer.writerow
             else:
-                for event in pipeline.fold_lines(source, config):
-                    sink.write(pipeline.event_to_json(event))
-                    sink.flush()
+                encode, emit = pipeline.event_to_json, batch.append
+            try:
+                for event in pipeline.fold_lines(_read_lines(source, write_batch), config):
+                    emit(encode(event))
+            finally:
+                write_batch()  # the last line's event, or those before a bad line
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

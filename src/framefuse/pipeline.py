@@ -11,16 +11,19 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, replace
+import operator
+from dataclasses import dataclass
+from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import (
+    DEGENERACY_EPSILON,
     CategoryDistribution,
     ClassifierProfile,
-    PosteriorState,
     argmax_label,
-    chain_update,
+    chained_posteriors,
+    check_scores,
     warn_if_window_too_long,
 )
 
@@ -82,42 +85,49 @@ class StreamFold:
     The frame_id watermark survives a restart.
     """
 
-    def __init__(self, config: StreamConfig):
+    __slots__ = ("config", "stream_id", "posteriors", "steps", "last_frame_id", "frames_seen")
+
+    def __init__(self, config: StreamConfig, stream_id: str = ""):
         warn_if_window_too_long(config.capacity_n)
         self.config = config
-        self.chain = PosteriorState.initial()
+        self.stream_id = stream_id
+        self.posteriors: Mapping[str, float] = {}  # the chain; read only once steps > 0
+        self.steps = 0  # frames chained since the window started
         self.last_frame_id: Optional[int] = None
         self.frames_seen = 0
 
     def push(self, frame: CategoryDistribution) -> StreamEvent:
-        """Chain one frame and emit its raw + integrated verdicts."""
+        """Chain one checked frame and emit its raw + integrated verdicts."""
+        return self.fold(frame.frame_id, frame.scores)
+
+    def fold(self, frame_id: int, scores: Mapping[str, float]) -> StreamEvent:
+        """Chain one frame whose scores passed ``check_scores``."""
         config = self.config
-        if self.last_frame_id is not None and frame.frame_id <= self.last_frame_id:
+        if self.last_frame_id is not None and frame_id <= self.last_frame_id:
             raise OutOfOrderFrameError(
-                f"stream {config.stream_id!r}: frame_id {frame.frame_id} not after "
-                f"{self.last_frame_id}"
+                f"stream {self.stream_id!r}: frame_id {frame_id} not after {self.last_frame_id}"
             )
-        chain = chain_update(self.chain, frame, config.profile)
-        raw_label = argmax_label(frame.scores)[0]
-        posteriors = chain.posteriors
+        raw_label = argmax_label(scores)[0]
+        if self.steps:
+            posteriors = chained_posteriors(self.posteriors, scores, config.profile.p_cnn, frame_id)
+            tmav_label = argmax_label(posteriors)[0]
+        else:
+            posteriors = scores
+            tmav_label = raw_label
+        steps = self.steps + 1
+        degenerate = max(posteriors.values()) < DEGENERACY_EPSILON
         interval = config.frame_interval_seconds
         event = StreamEvent(
-            frame_id=frame.frame_id,
-            raw_label=raw_label,
-            raw_scores=frame.scores,
-            tmav_label=raw_label if posteriors is frame.scores else argmax_label(posteriors)[0],
-            tmav_scores=posteriors,
-            degenerate=chain.degenerate,
-            wall_time=None if interval is None else interval * self.frames_seen,
-            stream_id=config.stream_id,
+            frame_id, raw_label, scores, tmav_label, posteriors, degenerate,
+            None if interval is None else interval * self.frames_seen, self.stream_id,
         )
         if config.auto_reset and (
-            chain.degenerate
-            or (config.capacity_n and chain.steps_applied >= config.capacity_n)
+            degenerate or (config.capacity_n and steps >= config.capacity_n)
         ):
-            chain = PosteriorState.initial()
-        self.chain = chain
-        self.last_frame_id = frame.frame_id
+            steps = 0
+        self.posteriors = posteriors
+        self.steps = steps
+        self.last_frame_id = frame_id
         self.frames_seen += 1
         return event
 
@@ -126,13 +136,13 @@ def process_stream(
     frames: Iterable[CategoryDistribution],
     config: StreamConfig,
 ) -> List[StreamEvent]:
-    """Run one stream's frames through a fresh fold."""
-    fold = StreamFold(config)
+    """Run one stream's frames through a fresh fold named ``config.stream_id``."""
+    fold = StreamFold(config, config.stream_id)
     return [fold.push(frame) for frame in frames]
 
 
-def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribution]:
-    """One JSONL record -> (stream_id, distribution). Raises StreamSchemaError."""
+def _load_record(line: str, line_number: int) -> Tuple[str, int, dict]:
+    """One JSONL record -> (stream_id, frame_id, scores), scores not yet checked."""
     try:
         record = json.loads(line)
     except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
@@ -145,15 +155,32 @@ def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribu
         scores = record["scores"]
     except KeyError as exc:
         raise StreamSchemaError(line_number, f"missing field {exc}") from exc
+    if stream_id.__class__ is not str:
+        raise StreamSchemaError(line_number, f"stream_id must be a string, got {stream_id!r}")
     if frame_id.__class__ is not int:
         raise StreamSchemaError(line_number, f"frame_id must be an integer, got {frame_id!r}")
     if not isinstance(scores, dict) or not scores:
         raise StreamSchemaError(line_number, "scores must be a non-empty object")
+    # Only a \u escape can put a lone surrogate into a decoded string.
+    if "\\ud" in line or "\\uD" in line:
+        for text in (stream_id, *scores):
+            try:
+                text.encode()
+            except UnicodeEncodeError as exc:
+                raise StreamSchemaError(
+                    line_number, f"{text!r} holds a lone surrogate, which is not Unicode text"
+                ) from exc
+    return stream_id, frame_id, scores
+
+
+def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribution]:
+    """One JSONL record -> (stream_id, distribution). Raises StreamSchemaError."""
+    stream_id, frame_id, scores = _load_record(line, line_number)
     try:
         dist = CategoryDistribution(frame_id=frame_id, scores=scores)
     except ValueError as exc:
         raise StreamSchemaError(line_number, str(exc)) from exc
-    return str(stream_id), dist
+    return stream_id, dist
 
 
 def read_frame_streams(lines: Iterable[str]) -> Dict[str, List[CategoryDistribution]]:
@@ -167,28 +194,52 @@ def read_frame_streams(lines: Iterable[str]) -> Dict[str, List[CategoryDistribut
     return streams
 
 
-def fold_lines(lines: Iterable[str], config: StreamConfig) -> Iterator[StreamEvent]:
+def fold_lines(lines: Iterable[bytes], config: StreamConfig) -> Iterator[StreamEvent]:
     """Fold interleaved JSONL frames per stream, yielding each event in input order.
 
-    ``config.stream_id`` is replaced by each record's own stream_id. Errors
-    from a frame's fold are raised as StreamSchemaError with its line number.
+    Each line is UTF-8 bytes. ``config.stream_id`` is ignored: every record
+    names its own stream. A line that is not UTF-8, a bad record or score, or
+    an error from a frame's fold is raised as StreamSchemaError with its line
+    number.
     """
     folds: Dict[str, StreamFold] = {}
-    for line_number, line in enumerate(lines, start=1):
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode()
+        except UnicodeDecodeError as exc:
+            raise StreamSchemaError(line_number, f"not UTF-8: {exc}") from exc
         if not line.strip():
             continue
-        stream_id, dist = parse_frame_line(line, line_number)
+        stream_id, frame_id, scores = _load_record(line, line_number)
         fold = folds.get(stream_id)
         if fold is None:
-            fold = folds[stream_id] = StreamFold(replace(config, stream_id=stream_id))
+            fold = folds[stream_id] = StreamFold(config, stream_id)
         try:
-            event = fold.push(dist)
+            check_scores(scores)
+            event = fold.fold(frame_id, scores)
         except ValueError as exc:
             raise StreamSchemaError(line_number, str(exc)) from exc
         yield event
 
 
-_SCORES_ENCODER = json.JSONEncoder(sort_keys=True)
+@lru_cache(maxsize=256)  # bounded: fuzzed input brings arbitrary label sets
+def _scores_format(labels: Tuple[str, ...]) -> Tuple[str, Callable]:
+    """A ``%`` template for a score map with these labels, and its value getter.
+
+    The template holds the labels in sorted order, escaped as json.dumps
+    escapes them; ``%r`` writes each value with its own ``__repr__``, as
+    json.dumps writes a float or an int. For one label the getter returns
+    the bare number, which ``%`` takes as its single value.
+    """
+    ordered = sorted(labels)
+    fields = ", ".join(f"{encode_basestring_ascii(label).replace('%', '%%')}: %r"
+                       for label in ordered)
+    return f"{{{fields}}}", operator.itemgetter(*ordered)
+
+
+def _encode_scores(scores: Mapping[str, float]) -> str:
+    template, values = _scores_format(tuple(scores))
+    return template % values(scores)
 
 
 def event_to_json(event: StreamEvent) -> str:
@@ -198,11 +249,11 @@ def event_to_json(event: StreamEvent) -> str:
     A window's first event shares one map between ``raw_scores`` and
     ``tmav_scores``, so that map is encoded once.
     """
-    raw_scores = _SCORES_ENCODER.encode(event.raw_scores)
+    raw_scores = _encode_scores(event.raw_scores)
     if event.tmav_scores is event.raw_scores:
         tmav_scores = raw_scores
     else:
-        tmav_scores = _SCORES_ENCODER.encode(event.tmav_scores)
+        tmav_scores = _encode_scores(event.tmav_scores)
     wall_time = "" if event.wall_time is None else f', "wall_time": {event.wall_time!r}'
     return (
         f'{{"degenerate": {"true" if event.degenerate else "false"}, '

@@ -1,9 +1,12 @@
+import io
 import json
 import os
 import select
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -182,21 +185,25 @@ class TestStreaming:
         # events for the frames before the bad line are already out
         assert len(captured.out.splitlines()) == 3
 
-    def test_event_leaves_before_input_closes(self, fixtures_dir):
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_event_leaves_before_input_closes(self, unbuffered, fixtures_dir):
         env = {k: v for k, v in os.environ.items()
                if k != "PYTHONUNBUFFERED" and not k.startswith("FRAMEFUSE_")}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
         env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
-        first = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()[0]
+        lines = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()[:2]
         proc = subprocess.Popen(
             [sys.executable, "-m", "framefuse.cli", "predict-stream"],
             stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env,
         )
         try:
-            proc.stdin.write(first.encode() + b"\n")
-            proc.stdin.flush()
-            readable, _, _ = select.select([proc.stdout], [], [], 10)
-            assert readable, "no event before stdin was closed"
-            assert json.loads(proc.stdout.readline())["frame_id"] == 1
+            for frame_id, line in enumerate(lines, start=1):
+                proc.stdin.write(line.encode() + b"\n")
+                proc.stdin.flush()
+                readable, _, _ = select.select([proc.stdout], [], [], 10)
+                assert readable, f"no event for frame {frame_id} before the next line was sent"
+                assert json.loads(proc.stdout.readline())["frame_id"] == frame_id
             proc.stdin.close()
             assert proc.wait(timeout=10) == 0
         finally:
@@ -237,6 +244,158 @@ class TestFuzz:
         code = run_cli("predict-stream", "--input", str(src), "--output", os.devnull,
                        "--format", fmt)
         assert code in (0, 2)
+
+
+class PieceSource:
+    """A binary source whose read1 returns pieces of the drawn sizes, then up to n bytes."""
+
+    def __init__(self, data, sizes=()):
+        self.data = data
+        self.sizes = list(sizes)
+        self.reads = 0
+
+    def read1(self, n):
+        self.reads += 1
+        size = min(self.sizes.pop(0) if self.sizes else n, n)
+        piece, self.data = self.data[:size], self.data[size:]
+        return piece
+
+
+class ShortWriteSink(io.BytesIO):
+    """A sink that counts writes and, like a raw file, may take only part of one."""
+
+    def __init__(self, limit=None):
+        super().__init__()
+        self.limit = limit
+        self.writes = 0
+
+    def write(self, data):
+        self.writes += 1
+        return super().write(bytes(data)[:self.limit])
+
+
+def run_on_pipes(data, *argv, sizes=(), limit=None):
+    """Run predict-stream on stdin/stdout stand-ins: (exit code, output, reads, writes)."""
+    source, sink = PieceSource(data, sizes), ShortWriteSink(limit)
+    with mock.patch.multiple(sys, stdin=SimpleNamespace(buffer=source),
+                             stdout=SimpleNamespace(buffer=sink)):
+        code = main(["predict-stream", *argv])
+    return code, sink.getvalue(), source.reads, sink.writes
+
+
+# Stream ids and labels whose UTF-8 spans 1 to 4 bytes, so reads cut characters.
+wide_text = st.sampled_from(["cam", "é", "日本", "🎥", "a%b"])
+
+
+@st.composite
+def split_inputs(draw):
+    """(input, valid): frames from a few streams, written raw (not \\u-escaped) with
+    \\n or \\r\\n, a blank line now and then, maybe one bad line, maybe no final newline."""
+    labels = draw(st.lists(wide_text, min_size=1, max_size=3, unique=True))
+    next_id = {}
+    lines = []
+    for stream_id in draw(st.lists(wide_text, max_size=12)):
+        frame_id = next_id[stream_id] = next_id.get(stream_id, 0) + 1
+        scores = {label: draw(st.floats(0.0, 1.0)) for label in labels}
+        record = {"stream_id": stream_id, "frame_id": frame_id, "scores": scores}
+        lines.append(json.dumps(record, ensure_ascii=False).encode())
+        if draw(st.integers(0, 9)) == 0:
+            lines.append(b"")
+    valid = not (lines and draw(st.booleans()))
+    if not valid:
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from([b"\xff", b"{"])))
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    return ending.join(lines) + (ending if draw(st.booleans()) else b""), valid
+
+
+class TestInputReads:
+    @settings(max_examples=200, deadline=None)
+    @given(split=split_inputs(), sizes=st.lists(st.integers(1, 64), max_size=40),
+           limit=st.none() | st.integers(1, 50), fmt=st.sampled_from(["jsonl", "csv"]))
+    def test_output_does_not_depend_on_read_sizes(self, split, sizes, limit, fmt):
+        data, valid = split
+        whole = run_on_pipes(data, "--format", fmt)
+        assert whole[0] == (0 if valid else 2)
+        assert whole[2] <= 2  # the whole input in one read, then end of input
+        pieces = run_on_pipes(data, "--format", fmt, sizes=sizes, limit=limit)
+        assert pieces[:2] == whole[:2]
+
+    def test_closed_batch_takes_one_write_per_read(self):
+        frames = [frame_line(f"cam-{i % 7}", i, {"a": 0.25, "b": 0.75}) for i in range(1, 501)]
+        code, out, reads, writes = run_on_pipes(("\n".join(frames) + "\n").encode())
+        assert code == 0
+        assert len(out.splitlines()) == 500
+        assert reads > 2
+        assert writes <= reads + 1
+
+    def test_input_from_file_reads_bytes_too(self, tmp_path):
+        src = tmp_path / "frames.jsonl"
+        data = (frame_line("é", 1, {"日本": 0.5}) + "\r\n").encode()
+        src.write_bytes(data)
+        out = tmp_path / "events.jsonl"
+        assert run_cli("predict-stream", "--input", str(src), "--output", str(out)) == 0
+        assert out.read_bytes() == run_on_pipes(data)[1]
+
+
+def file_or_stdin(tmp_path, data, source):
+    """(exit code, output) of predict-stream on `data` given as --input or on stdin."""
+    if source == "stdin":
+        return run_on_pipes(data)[:2]
+    src, out = tmp_path / "frames.jsonl", tmp_path / "events.jsonl"
+    src.write_bytes(data)
+    code = run_cli("predict-stream", "--input", str(src), "--output", str(out))
+    return code, out.read_bytes()
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+class TestInputRules:
+    good = frame_line("s", 1, {"a": 0.5, "b": 0.5}).encode()
+
+    def test_line_that_is_not_utf8_names_its_line(self, source, tmp_path, capsys):
+        bad = b'{"stream_id": "s\xff", "frame_id": 2, "scores": {"a": 0.5, "b": 0.5}}'
+        code, out = file_or_stdin(tmp_path, self.good + b"\n" + bad + b"\n", source)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 2: not UTF-8")
+        assert [json.loads(line)["frame_id"] for line in out.splitlines()] == [1]
+
+    def test_records_end_at_newline_only(self, source, tmp_path, capsys):
+        later = frame_line("s", 2, {"a": 0.5, "b": 0.5}).encode()
+        code, out = file_or_stdin(tmp_path, self.good + b"\r\n" + later + b"\r\n", source)
+        assert code == 0  # JSON skips the "\r" of "\r\n"
+        assert [json.loads(line)["frame_id"] for line in out.splitlines()] == [1, 2]
+        code, out = file_or_stdin(tmp_path, self.good + b"\r" + later + b"\n", source)
+        assert code == 2  # a bare "\r" ends no record
+        assert capsys.readouterr().err.startswith("error: line 1: invalid JSON")
+        assert out == b""
+
+    @pytest.mark.parametrize("stream_id", ["null", "5", "true", '["s"]'])
+    def test_stream_id_must_be_a_json_string(self, source, stream_id, tmp_path, capsys):
+        record = '{"stream_id": %s, "frame_id": 1, "scores": {"a": 0.5}}' % stream_id
+        code, out = file_or_stdin(tmp_path, self.good + b"\n" + record.encode(), source)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 2: stream_id must be a string")
+        assert len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("fmt", ["jsonl", "csv"])
+class TestLoneSurrogates:
+    @pytest.mark.parametrize("record", [
+        r'{"stream_id": "s", "frame_id": 1, "scores": {"\ud800": 0.5}}',
+        r'{"stream_id": "\uDFFF", "frame_id": 1, "scores": {"a": 0.5}}',
+        r'{"stream_id": "s", "frame_id": 1, "scores": {"a": 0.5, "x\ude00": 0.5}}',
+    ], ids=["label", "stream_id", "low-half-label"])
+    def test_rejected_with_line_number_in_both_formats(self, fmt, record, capsys):
+        first = frame_line("t", 1, {"a": 0.5})
+        code, out, _, _ = run_on_pipes(f"{first}\n{record}\n".encode(), "--format", fmt)
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        assert len(out.splitlines()) == (2 if fmt == "csv" else 1)  # the csv header, too
+
+    def test_surrogate_pair_is_one_character(self, fmt):
+        record = r'{"stream_id": "\ud83c\udfa5", "frame_id": 1, "scores": {"\ud83d\ude00": 1.0}}'
+        code, out, _, _ = run_on_pipes(record.encode(), "--format", fmt)
+        assert code == 0
+        assert ("\U0001f3a5" if fmt == "csv" else r"\ud83c\udfa5") in out.decode()
 
 
 class TestEnvFallbacks:

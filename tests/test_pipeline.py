@@ -33,8 +33,8 @@ from conftest import (
 
 
 # Labels and stream ids with non-ASCII text, quotes, backslashes, control
-# characters and lone surrogates, all of which JSON escapes.
-escaped_text = st.text(alphabet=st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800é'))
+# characters and lone surrogates, all of which JSON escapes, and "%".
+escaped_text = st.text(alphabet=st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\ud800é%'))
 wire_score_maps = st.dictionaries(
     escaped_text, st.floats(min_value=0.0, max_value=1.0) | st.integers(0, 1), min_size=1, max_size=6
 )
@@ -191,6 +191,14 @@ class TestWireFormats:
         line = '{"stream_id": "s", "frame_id": 1, "scores": {"b": 0.5, "a": %s}}' % score
         with pytest.raises(StreamSchemaError, match=r"line 1: score\[a\] must be a number"):
             read_frame_streams([line])
+
+    @pytest.mark.parametrize("record", [
+        '{"stream_id": null, "frame_id": 1, "scores": {"a": 0.5}}',
+        r'{"stream_id": "s", "frame_id": 1, "scores": {"\ud800": 0.5}}',
+    ], ids=["null-stream_id", "lone-surrogate-label"])
+    def test_batch_parser_keeps_the_record_rules(self, record):
+        with pytest.raises(StreamSchemaError, match="line 1: "):
+            read_frame_streams([record])
 
     def test_wall_time_from_frame_interval(self, traffic_profile):
         events = process_stream(
