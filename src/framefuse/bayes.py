@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
 from typing import Dict, Mapping, Optional, Tuple
 
 # Every category below this chained posterior marks the window degenerate.
@@ -39,7 +38,6 @@ def _is_number(value: object) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-@dataclass(slots=True)
 class CategoryDistribution:
     """One frame's classifier scores, keyed by category label.
 
@@ -47,14 +45,14 @@ class CategoryDistribution:
     range test. The distribution keeps its own copy of the map.
     """
 
-    frame_id: int
-    scores: Mapping[str, float]
+    __slots__ = ("frame_id", "scores")
 
-    def __post_init__(self) -> None:
-        scores = dict(self.scores)
+    def __init__(self, frame_id: int, scores: Mapping[str, float]):
+        scores = dict(scores)
         if not scores:
             raise ScoreDomainError("a frame needs at least one category score")
         check_scores(scores)
+        self.frame_id = frame_id
         self.scores = scores
 
 
@@ -69,24 +67,21 @@ def check_scores(scores: Mapping[str, float]) -> None:
             raise ScoreDomainError(f"score[{label}] must be a number in [0, 1], got {value!r}")
 
 
-@dataclass(frozen=True)
 class ClassifierProfile:
     """A classifier's identity, overall accuracy, and quality threshold."""
 
-    model_name: str
-    p_cnn: float
-    q_threshold: float = 0.7
+    __slots__ = ("model_name", "p_cnn", "q_threshold")
 
-    def __post_init__(self) -> None:
-        if math.isnan(self.p_cnn) or not 0.0 < self.p_cnn <= 1.0:
-            raise ScoreDomainError(f"p_cnn must be in (0, 1], got {self.p_cnn!r}")
-        if math.isnan(self.q_threshold) or not 0.0 < self.q_threshold <= 1.0:
-            raise ScoreDomainError(
-                f"q_threshold must be in (0, 1], got {self.q_threshold!r}"
-            )
+    def __init__(self, model_name: str, p_cnn: float, q_threshold: float = 0.7):
+        if math.isnan(p_cnn) or not 0.0 < p_cnn <= 1.0:
+            raise ScoreDomainError(f"p_cnn must be in (0, 1], got {p_cnn!r}")
+        if math.isnan(q_threshold) or not 0.0 < q_threshold <= 1.0:
+            raise ScoreDomainError(f"q_threshold must be in (0, 1], got {q_threshold!r}")
+        self.model_name = model_name
+        self.p_cnn = p_cnn
+        self.q_threshold = q_threshold
 
 
-@dataclass(slots=True)
 class PosteriorState:
     """Chained per-category posteriors plus bookkeeping for one stream window.
 
@@ -96,9 +91,13 @@ class PosteriorState:
     ``DEGENERACY_EPSILON``.
     """
 
-    posteriors: Dict[str, float] = field(default_factory=dict)
-    steps_applied: int = 0
-    degenerate: bool = False
+    __slots__ = ("posteriors", "steps_applied", "degenerate")
+
+    def __init__(self, posteriors: Optional[Dict[str, float]] = None, steps_applied: int = 0,
+                 degenerate: bool = False):
+        self.posteriors = {} if posteriors is None else posteriors
+        self.steps_applied = steps_applied
+        self.degenerate = degenerate
 
     @classmethod
     def initial(cls) -> "PosteriorState":

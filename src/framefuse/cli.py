@@ -13,13 +13,10 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import dataclasses
 import io
 import json
 import os
 import sys
-from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
 from . import pipeline
@@ -93,7 +90,8 @@ def _write_report(path: str, report: dict) -> bool:
         if path == "-":
             sys.stdout.write(text)
         else:
-            Path(path).write_text(text)
+            with open(path, "w") as handle:
+                handle.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return False
@@ -164,6 +162,8 @@ def cmd_predict_stream(args: argparse.Namespace) -> int:
                     sink.flush()
 
             if args.format == "csv":
+                import csv
+
                 writer = csv.writer(batch, lineterminator="\n")
                 writer.writerow(pipeline.CSV_HEADER)
                 encode, emit = pipeline.event_to_csv_row, writer.writerow
@@ -195,8 +195,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .backends import BackendError, ExternalBackend
 
     try:
-        offline = training.load_manifest(Path(args.offline_manifest))
-        crossval = training.load_manifest(Path(args.crossval_manifest))
+        offline = training.load_manifest(args.offline_manifest)
+        crossval = training.load_manifest(args.crossval_manifest)
         session = training.TrainingSession(
             offline_set=offline,
             crossval_set=crossval,
@@ -227,6 +227,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_ecti(args: argparse.Namespace) -> int:
+    import dataclasses
+
     from . import energy
 
     results = []
@@ -235,12 +237,12 @@ def cmd_ecti(args: argparse.Namespace) -> int:
             meta_path, _, power_path = run.partition(",")
             if not power_path:
                 raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
-            meta = energy.load_run_meta(Path(meta_path))
+            meta = energy.load_run_meta(meta_path)
             if args.q is not None:
                 meta = dataclasses.replace(meta, q_threshold=args.q)
-            kw = energy.average_power(energy.load_power_csv(Path(power_path)))
+            kw = energy.average_power(energy.load_power_csv(power_path))
             results.append((meta, energy.compute_ecti(meta, kw)))
-    except (energy.TraceError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:  # fsum overflows on huge power
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     candidates = [
@@ -270,9 +272,9 @@ def cmd_thermal(args: argparse.Namespace) -> int:
     from . import energy
 
     try:
-        trace = energy.load_thermal_csv(Path(args.trace), args.baseline_temp)
+        trace = energy.load_thermal_csv(args.trace, args.baseline_temp)
         summary = energy.thermal_summary(trace)
-    except (energy.TraceError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     report = {

@@ -24,7 +24,10 @@ class NoQualifyingModelError(ValueError):
     """Every candidate fell below the quality threshold."""
 
 
-def _check_monotone(timestamps: Sequence[float]) -> None:
+def _check_timestamps(timestamps: Sequence[float]) -> None:
+    for t in timestamps:
+        if not math.isfinite(t):
+            raise TraceError(f"timestamp {t} is not a finite number")
     for previous, current in zip(timestamps, timestamps[1:]):
         if current <= previous:
             raise TraceError(f"timestamps must strictly increase ({previous} -> {current})")
@@ -36,10 +39,10 @@ class PowerTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple((float(t), float(w)) for t, w in self.samples))
-        _check_monotone([t for t, _ in self.samples])
+        _check_timestamps([t for t, _ in self.samples])
         for t, watts in self.samples:
-            if watts < 0:
-                raise TraceError(f"negative power {watts} W at t={t}")
+            if not 0 <= watts < math.inf:
+                raise TraceError(f"power must be finite and >= 0, got {watts} W at t={t}")
 
 
 @dataclass(frozen=True)
@@ -49,10 +52,12 @@ class ThermalTrace:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "samples", tuple((float(t), float(c)) for t, c in self.samples))
-        _check_monotone([t for t, _ in self.samples])
+        _check_timestamps([t for t, _ in self.samples])
         for t, celsius in self.samples:
             if not TEMP_GUARD_LOW <= celsius <= TEMP_GUARD_HIGH:
                 raise TraceError(f"implausible temperature {celsius} C at t={t}")
+        if not math.isfinite(self.baseline_temp):
+            raise TraceError(f"baseline temperature must be finite, got {self.baseline_temp!r}")
 
 
 @dataclass(frozen=True)
@@ -66,8 +71,8 @@ class TrainingRunMeta:
     q_threshold: float = DEFAULT_Q
 
     def __post_init__(self) -> None:
-        if self.duration_hours <= 0:
-            raise ValueError("duration_hours must be > 0")
+        if not 0 < self.duration_hours < math.inf:
+            raise ValueError(f"duration_hours must be finite and > 0, got {self.duration_hours!r}")
         if self.image_count < 1:
             raise ValueError("image_count must be >= 1")
         for name in ("achieved_accuracy", "q_threshold"):
@@ -113,6 +118,8 @@ def compute_ecti(meta: TrainingRunMeta, average_power_kw: float) -> EctiResult:
     if average_power_kw < 0:
         raise ValueError("average power must be >= 0")
     kwh_per_image = (meta.duration_hours / meta.image_count) * average_power_kw
+    if not kwh_per_image < math.inf:  # NaN fails this test too
+        raise ValueError(f"energy per image is not a finite number ({kwh_per_image!r} kWh)")
     return EctiResult(
         model_name=meta.model_name,
         kwh_per_image=kwh_per_image,
@@ -159,6 +166,8 @@ def thermal_summary(trace: ThermalTrace) -> ThermalSummary:
         raise TraceError("thermal trace is empty")
     temps = [c for _, c in trace.samples]
     peak = max(temps)
+    if trace.baseline_temp > peak:
+        raise TraceError(f"baseline {trace.baseline_temp} C is above the trace peak {peak} C")
     return ThermalSummary(
         peak=peak,
         mean=math.fsum(temps) / len(temps),
@@ -202,6 +211,8 @@ def load_run_meta(path: Path) -> TrainingRunMeta:
     """Run metadata JSON: {model, duration_s, image_count, accuracy, q}."""
     with open(path) as handle:
         record = json.load(handle)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: run metadata must be a JSON object")
     try:
         return TrainingRunMeta(
             model_name=str(record["model"]),
@@ -212,3 +223,5 @@ def load_run_meta(path: Path) -> TrainingRunMeta:
         )
     except KeyError as exc:
         raise ValueError(f"{path}: missing field {exc}") from exc
+    except (TypeError, OverflowError) as exc:  # e.g. "duration_s": null, "image_count": 1e400
+        raise ValueError(f"{path}: {exc}") from exc

@@ -7,12 +7,9 @@ out.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -43,38 +40,58 @@ class StreamSchemaError(ValueError):
         self.line_number = line_number
 
 
-@dataclass(slots=True)
 class StreamEvent:
     """Per-frame output: the classifier's verdict and the temporal verdict.
 
     On a window's first frame ``tmav_scores`` is the same map object as
-    ``raw_scores``.
+    ``raw_scores``. Two events are equal when all their fields are.
     """
 
-    frame_id: int
-    raw_label: str
-    raw_scores: Mapping[str, float]
-    tmav_label: str
-    tmav_scores: Mapping[str, float]
-    degenerate: bool
-    wall_time: Optional[float] = None
-    stream_id: str = ""
+    __slots__ = ("frame_id", "raw_label", "raw_scores", "tmav_label", "tmav_scores",
+                 "degenerate", "wall_time", "stream_id")
+
+    def __init__(self, frame_id: int, raw_label: str, raw_scores: Mapping[str, float],
+                 tmav_label: str, tmav_scores: Mapping[str, float], degenerate: bool,
+                 wall_time: Optional[float] = None, stream_id: str = ""):
+        self.frame_id = frame_id
+        self.raw_label = raw_label
+        self.raw_scores = raw_scores
+        self.tmav_label = tmav_label
+        self.tmav_scores = tmav_scores
+        self.degenerate = degenerate
+        self.wall_time = wall_time
+        self.stream_id = stream_id
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return f"StreamEvent{self._values()!r}"
 
 
-@dataclass(frozen=True)
 class StreamConfig:
-    profile: ClassifierProfile
-    capacity_n: int = DEFAULT_WINDOW
-    auto_reset: bool = True
-    frame_interval_seconds: Optional[float] = None
-    stream_id: str = ""
+    """How every stream folds: the classifier, the window, and the frame interval."""
 
-    def __post_init__(self) -> None:
-        if self.capacity_n < 0:
+    __slots__ = ("profile", "capacity_n", "auto_reset", "frame_interval_seconds", "stream_id")
+
+    def __init__(self, profile: ClassifierProfile, capacity_n: int = DEFAULT_WINDOW,
+                 auto_reset: bool = True, frame_interval_seconds: Optional[float] = None,
+                 stream_id: str = ""):
+        if capacity_n < 0:
             raise ValueError("capacity_n must be >= 0")
-        interval = self.frame_interval_seconds
+        interval = frame_interval_seconds
         if interval is not None and not 0.0 < interval < math.inf:
             raise ValueError(f"frame interval must be finite and > 0, got {interval!r}")
+        self.profile = profile
+        self.capacity_n = capacity_n
+        self.auto_reset = auto_reset
+        self.frame_interval_seconds = frame_interval_seconds
+        self.stream_id = stream_id
 
 
 class StreamFold:
@@ -276,6 +293,9 @@ def event_to_csv_row(event: StreamEvent) -> list:
 
 
 def events_to_csv(events: Sequence[StreamEvent]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -212,22 +212,47 @@ class TestStreaming:
                 proc.wait()
             proc.stdout.close()
 
-    def test_loads_only_the_stream_core(self, fixtures_dir):
+    @staticmethod
+    def run_in_fresh_interpreter(tmp_path, *flags):
+        """One-frame predict-stream in a new interpreter: (modules loaded, output text).
+
+        -S keeps site-packages' start-up hooks out of the module set.
+        """
+        source = tmp_path / "one.jsonl"
+        source.write_text(frame_line("cam-1", 1, {"b": 0.25, "a": 0.75}))
+        out = tmp_path / "out"
         script = (
-            "import os, sys\n"
+            "import sys\n"
             "from framefuse.cli import main\n"
-            f"code = main(['predict-stream', '--input', {str(fixtures_dir / 'table1_traffic.jsonl')!r},"
-            " '--output', os.devnull])\n"
+            f"code = main(['predict-stream', '--input', {str(source)!r}, '--output', {str(out)!r},"
+            f" *{list(flags)!r}])\n"
             "print(code, *sorted(sys.modules))\n"
         )
         env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
         env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
                               text=True, env=env, timeout=30)
         code, *modules = proc.stdout.split()
         assert code == "0", proc.stderr
-        unwanted = {"numpy", "framefuse.training", "framefuse.energy", "framefuse.backends"}
-        assert unwanted.isdisjoint(modules)
+        return set(modules), out.read_text()
+
+    def test_loads_only_the_stream_core(self, tmp_path):
+        modules, output = self.run_in_fresh_interpreter(tmp_path)
+        assert json.loads(output)["tmav_label"] == "a"
+        unwanted = {"dataclasses", "inspect", "logging", "csv", "numpy",
+                    "framefuse.training", "framefuse.backends", "framefuse.energy"}
+        assert unwanted.isdisjoint(modules), sorted(unwanted & modules)
+
+    def test_csv_format_loads_csv_and_writes_the_same_rows(self, tmp_path):
+        jsonl_modules, jsonl = self.run_in_fresh_interpreter(tmp_path)
+        modules, output = self.run_in_fresh_interpreter(tmp_path, "--format", "csv")
+        assert "csv" in modules - jsonl_modules
+        event = json.loads(jsonl)
+        assert output == (
+            "stream_id,frame_id,raw_label,tmav_label,degenerate\n"
+            f"{event['stream_id']},{event['frame_id']},{event['raw_label']},"
+            f"{event['tmav_label']},{str(event['degenerate']).lower()}\n"
+        )
 
 
 class TestFuzz:
@@ -568,6 +593,40 @@ class TestEctiCommand:
         assert report["models"][0]["defined"] is False
         assert report["selected"] is None
 
+    @pytest.mark.parametrize("meta", [
+        "[1]",
+        '"VGG16"',
+        '{"model": "m", "duration_s": NaN, "image_count": 360, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": Infinity, "image_count": 360, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": null, "image_count": 360, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": 5864, "image_count": 1e400, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": NaN}',
+        '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": Infinity}',
+    ], ids=["list", "string", "nan-duration", "inf-duration", "null-duration",
+            "inf-image-count", "nan-accuracy", "inf-accuracy"])
+    def test_bad_meta_exits_schema(self, meta, fixtures_dir, tmp_path, capsys):
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(meta)
+        assert run_cli("ecti", "--run", f"{meta_path},{fixtures_dir / 'vgg16_power.csv'}") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("rows", [
+        "0,10.63\n10,nan\n",
+        "0,10.63\n10,inf\n",
+        "0,10.63\nnan,10.63\n",
+        "0,5e307\n1,5e307\n2,5e307\n3,5e307\n4,5e307\n",
+        "0,1e308\n1,1e308\n",
+    ], ids=["nan-watts", "inf-watts", "nan-timestamp", "energy-overflows-fsum", "power-overflows"])
+    def test_bad_power_trace_exits_schema(self, rows, fixtures_dir, tmp_path, capsys):
+        power = tmp_path / "power.csv"
+        power.write_text("timestamp_s,watts\n" + rows)
+        assert run_cli("ecti", "--run", f"{fixtures_dir / 'vgg16_meta.json'},{power}") == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
 
 class TestThermalCommand:
     def test_vgg16_style_trace(self, fixtures_dir, tmp_path):
@@ -601,3 +660,14 @@ class TestThermalCommand:
         report = json.loads(out.read_text())
         assert report["lifespan_reduction"]["per_10c"] == 0.0
         assert report["lifespan_reduction"]["per_15c"] == 0.0
+
+    @pytest.mark.parametrize("baseline", ["100", "93.61", "inf", "nan"])
+    def test_bad_baseline_exits_schema(self, baseline, fixtures_dir, capsys):
+        # the trace peaks at 93.6 C
+        code = run_cli("thermal", "--trace", str(fixtures_dir / "vgg16_thermal.csv"),
+                       "--baseline-temp", baseline)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert "baseline" in captured.err
+        assert captured.out == ""

@@ -62,6 +62,16 @@ class TestAveragePower:
         with pytest.raises(TraceError):
             PowerTrace(samples=((0.0, -1.0), (1.0, 2.0)))
 
+    @pytest.mark.parametrize("samples", [
+        ((0.0, 1.0), (1.0, float("nan"))),
+        ((0.0, 1.0), (1.0, float("inf"))),
+        ((0.0, 1.0), (float("nan"), 2.0)),
+        ((0.0, 1.0), (float("inf"), 2.0)),
+    ], ids=["nan-watts", "inf-watts", "nan-timestamp", "inf-timestamp"])
+    def test_samples_must_be_finite(self, samples):
+        with pytest.raises(TraceError, match="finite"):
+            PowerTrace(samples=samples)
+
 
 class TestEcti:
     def test_published_vgg16_figure(self):
@@ -102,6 +112,19 @@ class TestEcti:
         doubled_time = TrainingRunMeta(model_name="m", duration_hours=2 * duration,
                                        image_count=count, achieved_accuracy=0.9)
         assert compute_ecti(doubled_time, kw).kwh_per_image == pytest.approx(base * 2)
+
+    @pytest.mark.parametrize("hours", [float("nan"), float("inf"), 0.0])
+    def test_duration_must_be_finite_and_positive(self, hours):
+        with pytest.raises(ValueError, match="duration_hours must be finite and > 0"):
+            TrainingRunMeta(model_name="m", duration_hours=hours, image_count=1,
+                            achieved_accuracy=0.9)
+
+    @pytest.mark.parametrize("kw", [float("nan"), float("inf"), 1e308])
+    def test_figure_must_be_finite(self, kw):
+        meta = TrainingRunMeta(model_name="m", duration_hours=1e300, image_count=1,
+                               achieved_accuracy=0.9)
+        with pytest.raises(ValueError, match="not a finite number"):
+            compute_ecti(meta, kw)
 
 
 class TestSelectModel:
@@ -186,6 +209,16 @@ class TestThermalSummary:
     def test_plausibility_guard(self):
         with pytest.raises(TraceError):
             ThermalTrace(samples=((0, 200.0),), baseline_temp=69.24)
+
+    @pytest.mark.parametrize("baseline", [float("nan"), float("inf"), float("-inf")])
+    def test_baseline_must_be_finite(self, baseline):
+        with pytest.raises(TraceError, match="baseline temperature must be finite"):
+            ThermalTrace(samples=((0, 80.0),), baseline_temp=baseline)
+
+    def test_baseline_above_the_peak_rejected(self):
+        trace = ThermalTrace(samples=((0, 80.0), (30, 93.6)), baseline_temp=93.7)
+        with pytest.raises(TraceError, match="above the trace peak"):
+            thermal_summary(trace)
 
 
 class TestFileFormats:

@@ -1,5 +1,4 @@
 import json
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -144,6 +143,15 @@ class TestOracleAndDeterminism:
         config = StreamConfig(profile=traffic_profile, frame_interval_seconds=1.3)
         assert process_stream(frames, config) == process_stream(frames, config)
 
+    def test_events_differing_in_one_field_are_unequal(self):
+        fields = dict(frame_id=1, raw_label="a", raw_scores={"a": 1.0}, tmav_label="a",
+                      tmav_scores={"a": 1.0}, degenerate=False, wall_time=None, stream_id="s")
+        event = StreamEvent(**fields)
+        assert event == StreamEvent(**fields)
+        for name, other in [("frame_id", 2), ("tmav_scores", {"a": 0.5}), ("wall_time", 0.0),
+                            ("stream_id", "t")]:
+            assert event != StreamEvent(**{**fields, name: other}), name
+
     def test_empty_stream(self, traffic_profile):
         assert process_stream([], continuous(traffic_profile)) == []
 
@@ -220,9 +228,9 @@ class TestWireFormats:
     ), tmav=st.sampled_from(["drawn", "shared", "copy"]))
     def test_event_to_json_is_json_dumps(self, event, tmav):
         if tmav == "shared":
-            event = replace(event, tmav_scores=event.raw_scores)
+            event.tmav_scores = event.raw_scores
         elif tmav == "copy":
-            event = replace(event, tmav_scores=dict(event.raw_scores))
+            event.tmav_scores = dict(event.raw_scores)
         assert event_to_json(event) == json.dumps(event_to_dict(event), sort_keys=True) + "\n"
 
     def test_analyzable_snippet(self):
