@@ -16,8 +16,6 @@ from .bayes import (
     ScoreDomainError,
     argmax_label,
     chain_update,
-    degeneracy_horizon,
-    update_posterior,
 )
 from .pipeline import (
     OutOfOrderFrameError,

@@ -14,6 +14,8 @@ import shlex
 import subprocess
 from typing import Collection, Dict, Protocol, Sequence, Tuple
 
+from . import bayes
+
 PROTOCOL_VERSION = 1
 CLOSE_WAIT_S = 10.0  # how long close() waits for the child before killing it
 # Predict scores are raw classifier outputs, which sum to 1 only as closely
@@ -37,18 +39,18 @@ class ClassifierBackend(Protocol):
     def predict(self, ref: str) -> Dict[str, float]: ...
 
 
-def check_scores(scores: object, labels: Collection[str]) -> Dict[str, float]:
+def check_reply_scores(scores: object, labels: Collection[str]) -> Dict[str, float]:
     """Return a predict reply's scores as floats, or raise ProtocolError.
 
-    The scores must be numbers in [0, 1], cover every label in ``labels``
-    and sum to 1 within SCORE_SUM_TOLERANCE.
+    The scores must pass the score rule (``bayes.check_scores``), cover
+    every label in ``labels`` and sum to 1 within SCORE_SUM_TOLERANCE.
     """
     if not isinstance(scores, dict) or not scores:
         raise ProtocolError(f"predict reply without scores: {scores!r}")
-    for label, value in scores.items():
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not 0.0 <= value <= 1.0):
-            raise ProtocolError(f"score for {label!r} is not a number in [0, 1]: {value!r}")
+    try:
+        bayes.check_scores(scores)
+    except bayes.ScoreDomainError as exc:
+        raise ProtocolError(f"predict reply score is not a number in [0, 1]: {exc}") from exc
     missing = set(labels) - scores.keys()
     if missing:
         raise ProtocolError(f"predict reply lacks labels {sorted(missing)}")
@@ -98,12 +100,15 @@ class ExternalBackend:
 
     def __init__(self, command: str, labels: Sequence[str] = ()):
         self.labels = tuple(labels)
+        argv = shlex.split(command)
+        if not argv:
+            raise ValueError("backend command is empty")
         try:
             self._proc = subprocess.Popen(
-                shlex.split(command),
+                argv,
                 stdin=subprocess.PIPE,
                 stdout=subprocess.PIPE,
-                text=True,
+                encoding="utf-8",
                 bufsize=1,
             )
         except OSError as exc:
@@ -126,13 +131,18 @@ class ExternalBackend:
             self._proc.stdin.flush()
         except (BrokenPipeError, OSError) as exc:
             raise BackendError(f"backend process went away: {exc}") from exc
-        line = self._proc.stdout.readline()
+        try:
+            line = self._proc.stdout.readline()
+        except UnicodeDecodeError as exc:
+            raise ProtocolError(f"reply is not UTF-8: {exc}") from exc
         if not line:
             raise BackendError("backend closed its output stream")
         try:
             reply = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"non-JSON reply: {line!r}") from exc
+        if not isinstance(reply, dict):
+            raise ProtocolError(f"reply is not a JSON object: {line!r}")
         if reply.get("id") != request["id"]:
             raise ProtocolError(
                 f"reply id {reply.get('id')!r} does not match request id {request['id']}"
@@ -151,7 +161,7 @@ class ExternalBackend:
 
     def predict(self, ref: str) -> Dict[str, float]:
         reply = self._call({"op": "predict", "image": ref})
-        return check_scores(reply.get("scores"), self.labels)
+        return check_reply_scores(reply.get("scores"), self.labels)
 
     def close(self) -> None:
         """Close both pipes and reap the child, killing it if it outlives CLOSE_WAIT_S."""

@@ -8,13 +8,13 @@ Posteriors are deliberately NOT renormalized to sum to 1.
 
 from __future__ import annotations
 
-import math
 import warnings
 from typing import Dict, Mapping, Optional, Tuple
 
 # Every category below this chained posterior marks the window degenerate.
 DEGENERACY_EPSILON = 1e-4
-DEFAULT_HORIZON_CAP = 1000
+# The quality threshold Q: the accuracy a trained classifier must reach.
+DEFAULT_Q = 0.7
 
 # Chained posteriors collapse toward zero for long windows; empirically the
 # chain is unusable beyond this many frames at realistic score levels.
@@ -22,20 +22,22 @@ MAX_RECOMMENDED_WINDOW = 7
 
 
 class ScoreDomainError(ValueError):
-    """A score is NaN, negative, above 1, or the update denominator is zero."""
+    """A score is not a number in [0, 1], or a probability not one in (0, 1]."""
 
 
 class LabelSetMismatchError(ValueError):
     """Incoming frame labels differ from the labels already in the chain."""
 
 
-def _check_score(name: str, value: float) -> None:
-    if math.isnan(value) or value < 0.0 or value > 1.0:
-        raise ScoreDomainError(f"{name} must be in [0, 1], got {value!r}")
-
-
-def _is_number(value: object) -> bool:
+def is_number(value: object) -> bool:
+    """A JSON number: an int or float, not a bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def check_probability(name: str, value: object) -> None:
+    """The probability rule: a number (not a bool) in (0, 1]; NaN fails it."""
+    if not (is_number(value) and 0.0 < value <= 1.0):
+        raise ScoreDomainError(f"{name} must be in (0, 1], got {value!r}")
 
 
 class CategoryDistribution:
@@ -63,7 +65,7 @@ def check_scores(scores: Mapping[str, float]) -> None:
     """
     for label, value in scores.items():
         # The float test first: a JSON score is almost always a float.
-        if not (value.__class__ is float or _is_number(value)) or not 0.0 <= value <= 1.0:
+        if not (value.__class__ is float or is_number(value)) or not 0.0 <= value <= 1.0:
             raise ScoreDomainError(f"score[{label}] must be a number in [0, 1], got {value!r}")
 
 
@@ -72,11 +74,9 @@ class ClassifierProfile:
 
     __slots__ = ("model_name", "p_cnn", "q_threshold")
 
-    def __init__(self, model_name: str, p_cnn: float, q_threshold: float = 0.7):
-        if math.isnan(p_cnn) or not 0.0 < p_cnn <= 1.0:
-            raise ScoreDomainError(f"p_cnn must be in (0, 1], got {p_cnn!r}")
-        if math.isnan(q_threshold) or not 0.0 < q_threshold <= 1.0:
-            raise ScoreDomainError(f"q_threshold must be in (0, 1], got {q_threshold!r}")
+    def __init__(self, model_name: str, p_cnn: float, q_threshold: float = DEFAULT_Q):
+        check_probability("p_cnn", p_cnn)
+        check_probability("q_threshold", q_threshold)
         self.model_name = model_name
         self.p_cnn = p_cnn
         self.q_threshold = q_threshold
@@ -102,18 +102,6 @@ class PosteriorState:
     @classmethod
     def initial(cls) -> "PosteriorState":
         return cls()
-
-
-def update_posterior(prior: float, current: float, p_cnn: float) -> float:
-    """Single-category Bayes step: (prior*current) / (prior*current + p_cnn)."""
-    _check_score("prior", prior)
-    _check_score("current", current)
-    _check_score("p_cnn", p_cnn)
-    numerator = prior * current
-    denominator = numerator + p_cnn
-    if denominator == 0.0:
-        raise ScoreDomainError("update denominator is zero (p_cnn and prior*current both 0)")
-    return numerator / denominator
 
 
 def chained_posteriors(
@@ -169,31 +157,6 @@ def argmax_label(posteriors: Mapping[str, float]) -> Tuple[str, float]:
         if value > best_value or (value == best_value and label < best_label):
             best_label, best_value = label, value
     return best_label, best_value
-
-
-def degeneracy_horizon(
-    representative_score: float,
-    p_cnn: float,
-    epsilon: float = DEGENERACY_EPSILON,
-    max_steps: int = DEFAULT_HORIZON_CAP,
-) -> Optional[int]:
-    """Smallest frame count k at which a chain of identical scores drops below epsilon.
-
-    Iterates the update directly. Returns None when the chain has not dropped
-    below epsilon within ``max_steps`` frames.
-    """
-    if not 0.0 < representative_score <= 1.0:
-        raise ScoreDomainError("representative_score must be in (0, 1]")
-    if not 0.0 < p_cnn <= 1.0:
-        raise ScoreDomainError("p_cnn must be in (0, 1]")
-    if not 0.0 < epsilon < 1.0:
-        raise ScoreDomainError("epsilon must be in (0, 1)")
-    posterior = representative_score
-    for k in range(1, max_steps + 1):
-        if posterior < epsilon:
-            return k
-        posterior = update_posterior(posterior, representative_score, p_cnn)
-    return None
 
 
 def warn_if_window_too_long(capacity_n: int) -> None:

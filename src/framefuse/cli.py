@@ -4,7 +4,8 @@ Exit codes: 0 success, 2 schema/input error, 3 quality-not-met, 4 backend
 failure. Some flags fall back to a FRAMEFUSE_* environment variable:
 FRAMEFUSE_OUTPUT (every command), FRAMEFUSE_INPUT, FRAMEFUSE_WINDOW,
 FRAMEFUSE_P_CNN, FRAMEFUSE_FORMAT and FRAMEFUSE_AUTO_RESET (predict-stream),
-FRAMEFUSE_BACKEND and FRAMEFUSE_Q (train); no other flag has one. Each
+FRAMEFUSE_BACKEND and FRAMEFUSE_Q (train); no other flag has one. A
+fallback that is not one of its flag's values is a usage error. Each
 command imports the modules it needs when it runs, so predict-stream loads
 only the stream core.
 """
@@ -20,7 +21,7 @@ import sys
 from typing import Iterator, Optional, Sequence
 
 from . import pipeline
-from .bayes import ClassifierProfile
+from .bayes import DEFAULT_Q, ClassifierProfile
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -28,15 +29,33 @@ EXIT_QUALITY_NOT_MET = 3
 EXIT_BACKEND = 4
 
 
+FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+              "0": False, "false": False, "no": False, "off": False}
+
+
+class _BadFallback:
+    """Stands in for a flag whose FRAMEFUSE_* fallback is not one of the flag's
+    values; main() reports it as a usage error when the flag is not given."""
+
+    def __init__(self, name: str, raw: str, allowed: Sequence[str]):
+        self.message = f"FRAMEFUSE_{name}={raw!r} is not one of {'/'.join(allowed)}"
+
+
 def _env(name: str, fallback=None):
     return os.environ.get(f"FRAMEFUSE_{name}", fallback)
 
 
-def _env_flag(name: str, fallback: bool) -> bool:
+def _env_choice(name: str, choices: Sequence[str], fallback: str):
+    raw = _env(name, fallback)
+    return raw if raw in choices else _BadFallback(name, raw, choices)
+
+
+def _env_flag(name: str, fallback: bool):
     raw = _env(name)
     if raw is None:
         return fallback
-    return raw.strip().lower() in {"1", "true", "yes", "on"}
+    value = FLAG_WORDS.get(raw.strip().lower())
+    return _BadFallback(name, raw, FLAG_WORDS) if value is None else value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -52,7 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
     predict.add_argument("--output", default=_env("OUTPUT", "-"), help="output path or - for stdout")
     predict.add_argument("--window", type=int, default=_env("WINDOW", "3"))
     predict.add_argument("--p-cnn", type=float, default=_env("P_CNN", "0.9893"))
-    predict.add_argument("--format", choices=("jsonl", "csv"), default=_env("FORMAT", "jsonl"))
+    formats = ("jsonl", "csv")
+    predict.add_argument("--format", choices=formats,
+                         default=_env_choice("FORMAT", formats, "jsonl"))
     predict.add_argument("--frame-interval", type=float, default=None,
                          help="seconds between frames (finite, > 0), reported as event wall_time")
     reset = predict.add_mutually_exclusive_group()
@@ -65,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--crossval-manifest", required=True, help="path,label CSV for cross-validation")
     train.add_argument("--backend", default=_env("BACKEND", "synthetic"),
                        help="'synthetic' or 'external:<command>'")
-    train.add_argument("--q", type=float, default=_env("Q", "0.7"))
+    train.add_argument("--q", type=float, default=_env("Q", DEFAULT_Q))
     train.add_argument("--max-retrain-rounds", type=int, default=1)
     train.add_argument("--output", default=_env("OUTPUT", "-"), help="report JSON path or -")
 
@@ -293,7 +314,11 @@ def cmd_thermal(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    for value in vars(args).values():
+        if isinstance(value, _BadFallback):
+            parser.error(value.message)
     handlers = {
         "predict-stream": cmd_predict_stream,
         "train": cmd_train,

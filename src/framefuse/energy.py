@@ -10,7 +10,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
-DEFAULT_Q = 0.7
+from .bayes import DEFAULT_Q, check_probability, is_number
+
 TEMP_GUARD_LOW = -20.0
 TEMP_GUARD_HIGH = 150.0
 LIFESPAN_DOUBLING_INTERVALS = (10.0, 15.0)
@@ -75,10 +76,8 @@ class TrainingRunMeta:
             raise ValueError(f"duration_hours must be finite and > 0, got {self.duration_hours!r}")
         if self.image_count < 1:
             raise ValueError("image_count must be >= 1")
-        for name in ("achieved_accuracy", "q_threshold"):
-            value = getattr(self, name)
-            if math.isnan(value) or not 0.0 < value <= 1.0:
-                raise ValueError(f"{name} must be in (0, 1], got {value!r}")
+        check_probability("achieved_accuracy", self.achieved_accuracy)
+        check_probability("q_threshold", self.q_threshold)
 
 
 @dataclass(frozen=True)
@@ -207,21 +206,39 @@ def load_thermal_csv(path: Path, baseline_temp: float) -> ThermalTrace:
     )
 
 
+# Each run metadata field's JSON type: its test and its name. TrainingRunMeta
+# checks the values.
+_META_TYPES = {
+    "model": (lambda value: value.__class__ is str, "a string"),
+    "duration_s": (is_number, "a number"),
+    "image_count": (lambda value: value.__class__ is int, "an integer"),
+    "accuracy": (is_number, "a number"),
+    "q": (is_number, "a number"),
+}
+
+
 def load_run_meta(path: Path) -> TrainingRunMeta:
-    """Run metadata JSON: {model, duration_s, image_count, accuracy, q}."""
+    """Run metadata JSON: {model, duration_s, image_count, accuracy, q}; q is optional.
+
+    Each field must have its JSON type; nothing is coerced.
+    """
     with open(path) as handle:
         record = json.load(handle)
     if not isinstance(record, dict):
         raise ValueError(f"{path}: run metadata must be a JSON object")
+    record = {"q": DEFAULT_Q, **record}
+    for name, (test, json_type) in _META_TYPES.items():
+        if name not in record:
+            raise ValueError(f"{path}: missing field {name!r}")
+        if not test(record[name]):
+            raise ValueError(f"{path}: {name} must be {json_type}, got {record[name]!r}")
     try:
         return TrainingRunMeta(
-            model_name=str(record["model"]),
-            duration_hours=float(record["duration_s"]) / 3600.0,
-            image_count=int(record["image_count"]),
-            achieved_accuracy=float(record["accuracy"]),
-            q_threshold=float(record.get("q", DEFAULT_Q)),
+            model_name=record["model"],
+            duration_hours=record["duration_s"] / 3600.0,
+            image_count=record["image_count"],
+            achieved_accuracy=record["accuracy"],
+            q_threshold=record["q"],
         )
-    except KeyError as exc:
-        raise ValueError(f"{path}: missing field {exc}") from exc
-    except (TypeError, OverflowError) as exc:  # e.g. "duration_s": null, "image_count": 1e400
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc

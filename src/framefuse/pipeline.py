@@ -113,10 +113,6 @@ class StreamFold:
         self.last_frame_id: Optional[int] = None
         self.frames_seen = 0
 
-    def push(self, frame: CategoryDistribution) -> StreamEvent:
-        """Chain one checked frame and emit its raw + integrated verdicts."""
-        return self.fold(frame.frame_id, frame.scores)
-
     def fold(self, frame_id: int, scores: Mapping[str, float]) -> StreamEvent:
         """Chain one frame whose scores passed ``check_scores``."""
         config = self.config
@@ -155,7 +151,7 @@ def process_stream(
 ) -> List[StreamEvent]:
     """Run one stream's frames through a fresh fold named ``config.stream_id``."""
     fold = StreamFold(config, config.stream_id)
-    return [fold.push(frame) for frame in frames]
+    return [fold.fold(frame.frame_id, frame.scores) for frame in frames]
 
 
 def _load_record(line: str, line_number: int) -> Tuple[str, int, dict]:
@@ -290,19 +286,3 @@ def events_to_jsonl(events: Sequence[StreamEvent]) -> str:
 def event_to_csv_row(event: StreamEvent) -> list:
     return [event.stream_id, event.frame_id, event.raw_label, event.tmav_label,
             str(event.degenerate).lower()]
-
-
-def events_to_csv(events: Sequence[StreamEvent]) -> str:
-    import csv
-    import io
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_HEADER)
-    writer.writerows(event_to_csv_row(event) for event in events)
-    return buf.getvalue()
-
-
-def analyzable_snippet_seconds(frame_interval_seconds: float, window_cap: int = 7) -> float:
-    """Longest video snippet the chain can cover before collapsing."""
-    return frame_interval_seconds * window_cap

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import csv
 import enum
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import List, Optional
 
 from .backends import BackendError, ClassifierBackend, LabeledItem
-from .bayes import argmax_label
-
-DEFAULT_Q = 0.7
+from .bayes import DEFAULT_Q, argmax_label, check_probability
 
 
 class Phase(enum.Enum):
@@ -52,8 +49,7 @@ class TrainingSession:
             raise ValueError("offline_set must be non-empty")
         if not self.crossval_set:
             raise ValueError("crossval_set must be non-empty")
-        if math.isnan(self.q_threshold) or not 0.0 < self.q_threshold <= 1.0:
-            raise ValueError(f"q_threshold must be in (0, 1], got {self.q_threshold!r}")
+        check_probability("q_threshold", self.q_threshold)
         if self.max_retrain_rounds < 0:
             raise ValueError(f"max_retrain_rounds must be >= 0, got {self.max_retrain_rounds}")
 

@@ -7,6 +7,8 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --nan        answer every predict with a NaN score
   --foreign    answer every predict with labels outside the manifests
   --linger     keep running for a minute after stdin closes
+  --list-reply answer every predict with a JSON list, not an object
+  --bad-utf8   answer every predict with a line that is not UTF-8
 """
 
 import argparse
@@ -29,6 +31,8 @@ def main():
     parser.add_argument("--nan", action="store_true")
     parser.add_argument("--foreign", action="store_true")
     parser.add_argument("--linger", action="store_true")
+    parser.add_argument("--list-reply", action="store_true")
+    parser.add_argument("--bad-utf8", action="store_true")
     args = parser.parse_args()
 
     memory = {}
@@ -51,6 +55,12 @@ def main():
             for item in msg.get("items", []):
                 memory[item["image"]] = item["label"]
             reply["ok"] = True
+        elif op == "predict" and args.list_reply:
+            reply = [reply["id"]]
+        elif op == "predict" and args.bad_utf8:
+            sys.stdout.buffer.write(b'{"id": %d, "scores": {"\xff": 1.0}}\n' % reply["id"])
+            sys.stdout.buffer.flush()
+            continue
         elif op == "predict":
             if args.wrong:
                 label = LABELS[0]

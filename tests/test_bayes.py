@@ -5,6 +5,7 @@ from hypothesis import given, assume, settings
 from hypothesis import strategies as st
 
 from framefuse.bayes import (
+    DEFAULT_Q,
     CategoryDistribution,
     ClassifierProfile,
     LabelSetMismatchError,
@@ -12,9 +13,11 @@ from framefuse.bayes import (
     ScoreDomainError,
     argmax_label,
     chain_update,
-    degeneracy_horizon,
-    update_posterior,
+    chained_posteriors,
+    check_probability,
+    check_scores,
 )
+from framefuse.pipeline import StreamConfig, StreamFold
 
 from conftest import (
     TABLE1_EXPECTED,
@@ -28,6 +31,11 @@ scores = st.floats(min_value=0.0, max_value=1.0, allow_nan=False)
 pos_scores = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False)
 
 
+def update(prior, current, p_cnn):
+    """One label's Bayes step, through the update the stream fold runs."""
+    return chained_posteriors({"c": prior}, {"c": current}, p_cnn, frame_id=2)["c"]
+
+
 class TestUpdatePosterior:
     @pytest.mark.parametrize(
         "prior,current,p_cnn,expected",
@@ -38,33 +46,34 @@ class TestUpdatePosterior:
         ],
     )
     def test_published_values(self, prior, current, p_cnn, expected):
-        assert update_posterior(prior, current, p_cnn) == pytest.approx(expected, abs=1e-4)
+        assert update(prior, current, p_cnn) == pytest.approx(expected, abs=1e-4)
 
     def test_zero_current_kills_posterior(self):
-        assert update_posterior(0.9, 0.0, 0.9893) == 0.0
-        assert update_posterior(1.0, 0.0, 0.9893) == 0.0
+        assert update(0.9, 0.0, 0.9893) == 0.0
+        assert update(1.0, 0.0, 0.9893) == 0.0
 
     @pytest.mark.parametrize("bad", [float("nan"), -0.1, 1.5])
     def test_domain_errors(self, bad):
+        # The update takes a score that passed the score rule and a p_cnn that
+        # passed the probability rule; a prior is always an earlier update.
         with pytest.raises(ScoreDomainError):
-            update_posterior(bad, 0.5, 0.9)
+            check_scores({"current": bad})
         with pytest.raises(ScoreDomainError):
-            update_posterior(0.5, bad, 0.9)
-        with pytest.raises(ScoreDomainError):
-            update_posterior(0.5, 0.5, bad)
+            check_probability("p_cnn", bad)
 
     def test_zero_denominator(self):
+        # prior * current >= 0, so only p_cnn = 0 could zero the denominator.
         with pytest.raises(ScoreDomainError):
-            update_posterior(0.0, 0.5, 0.0)
+            ClassifierProfile(model_name="m", p_cnn=0.0)
 
     @given(prior=scores, current=scores, p_cnn=pos_scores)
     def test_range_preservation(self, prior, current, p_cnn):
-        result = update_posterior(prior, current, p_cnn)
+        result = update(prior, current, p_cnn)
         assert 0.0 <= result < 1.0
 
     @given(prior=scores, p_cnn=st.floats(min_value=0.1, max_value=1.0))
     def test_vanishing_current_limit(self, prior, p_cnn):
-        assert update_posterior(prior, 1e-12, p_cnn) < 1e-10
+        assert update(prior, 1e-12, p_cnn) < 1e-10
 
     @given(
         prior=st.floats(min_value=1e-6, max_value=1.0),
@@ -73,7 +82,7 @@ class TestUpdatePosterior:
     )
     def test_monotone_decay_when_accuracy_dominates(self, prior, current, p_cnn):
         assume(p_cnn >= current)
-        assert update_posterior(prior, current, p_cnn) < prior
+        assert update(prior, current, p_cnn) < prior
 
 
 class TestChainUpdate:
@@ -173,6 +182,17 @@ class TestArgmax:
         assert argmax_label(base)[0] == argmax_label(scaled)[0]
 
 
+def degeneracy_horizon(score, p_cnn, max_steps=1000):
+    """1-based index of the first degenerate event of a one-label stream whose
+    frames all score ``score``, folded without resets; None within max_steps."""
+    fold = StreamFold(StreamConfig(ClassifierProfile(model_name="m", p_cnn=p_cnn),
+                                   auto_reset=False))
+    for k in range(1, max_steps + 1):
+        if fold.fold(k, {"c": score}).degenerate:
+            return k
+    return None
+
+
 class TestDegeneracyHorizon:
     def test_matches_direct_iteration(self):
         # Independent oracle: iterate the arithmetic inline.
@@ -181,19 +201,13 @@ class TestDegeneracyHorizon:
         while posterior >= epsilon:
             posterior = (posterior * score) / (posterior * score + p_cnn)
             k += 1
-        assert degeneracy_horizon(score, p_cnn, epsilon) == k
+        assert degeneracy_horizon(score, p_cnn) == k
 
     def test_low_score_regime_collapses_within_eight(self):
-        assert degeneracy_horizon(0.3, 0.9893, 1e-4) <= 8
+        assert degeneracy_horizon(0.3, 0.9893) <= 8
 
     def test_slow_decay_hits_cap(self):
-        assert degeneracy_horizon(1.0, 1e-9, 1e-4, max_steps=1000) is None
-
-    def test_input_validation(self):
-        with pytest.raises(ScoreDomainError):
-            degeneracy_horizon(0.0, 0.9, 1e-4)
-        with pytest.raises(ScoreDomainError):
-            degeneracy_horizon(0.5, 0.9, 1.5)
+        assert degeneracy_horizon(1.0, 1e-9, max_steps=1000) is None
 
 
 def test_profile_validation():
@@ -202,7 +216,18 @@ def test_profile_validation():
     with pytest.raises(ScoreDomainError):
         ClassifierProfile(model_name="m", p_cnn=0.9, q_threshold=1.2)
     profile = ClassifierProfile(model_name="m", p_cnn=0.9)
-    assert profile.q_threshold == 0.7
+    assert profile.q_threshold == DEFAULT_Q == 0.7
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.1, 1.5, float("nan"), float("inf"), True, "0.5", None])
+def test_probability_rule(bad):
+    with pytest.raises(ScoreDomainError, match=r"^q must be in \(0, 1\], got "):
+        check_probability("q", bad)
+
+
+@pytest.mark.parametrize("good", [1e-9, 0.7, 1.0, 1])
+def test_probability_rule_accepts(good):
+    check_probability("q", good)
 
 
 def test_distribution_validation():

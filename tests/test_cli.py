@@ -1,5 +1,6 @@
 import io
 import json
+import math
 import os
 import select
 import subprocess
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import framefuse
 from framefuse.bayes import ClassifierProfile
-from framefuse.cli import main
+from framefuse.cli import build_parser, main
 from framefuse.pipeline import StreamConfig, events_to_jsonl, process_stream, read_frame_streams
 
 from conftest import TABLE1_FRAMES, TABLE2_FRAMES, make_frames
@@ -134,15 +135,62 @@ json_values = st.recursive(
 json_tokens = json_values.map(json.dumps) | st.sampled_from(["1e400", "-1e400", "2.7", "1E2", "-0"])
 
 
+def allowed_token(token, rule):
+    """Whether the README schema allows this JSON token as a frame_id or a score."""
+    value = json.loads(token)
+    if rule == "frame_id":
+        return value.__class__ is int
+    return value.__class__ in (int, float) and 0 <= value <= 1
+
+
+# Text that is Unicode: no lone surrogates.
+unicode_text = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+wire_scores = st.floats(min_value=0.0, max_value=1.0) | st.integers(0, 1)
+
+
 @st.composite
-def fuzzed_records(draw):
-    """A valid frame record with its frame_id or one score swapped for any JSON value."""
-    frame_id, score_a = "1", "0.5"
-    if draw(st.booleans()):
-        frame_id = draw(json_tokens)
-    else:
-        score_a = draw(json_tokens)
-    return '{"stream_id": "s", "frame_id": %s, "scores": {"a": %s, "b": 0.5}}' % (frame_id, score_a)
+def fuzzed_inputs(draw):
+    """Frame input lines, and True when the README schema allows every line,
+    False when it rejects one, None when it cannot tell (arbitrary text).
+
+    Allowed lines are records, blank lines and records ending in "\r"; each
+    stream keeps one label set and increasing frame_ids. A fuzzed record on a
+    stream of its own has its frame_id or one score swapped for any JSON token.
+    """
+    lines, verdict = [], True
+    streams = {}  # stream_id -> (labels, last frame_id)
+    for number in range(draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["record", "record", "blank", "fuzzed", "text"]))
+        if kind == "record":
+            stream_id = draw(unicode_text)
+            if stream_id in streams:
+                labels, last = streams[stream_id]
+                frame_id = last + draw(st.integers(1, 2**70))
+            else:
+                labels = draw(st.lists(unicode_text, min_size=1, max_size=3, unique=True))
+                frame_id = draw(st.integers(-2**70, 2**70))
+            streams[stream_id] = labels, frame_id
+            scores = {label: draw(wire_scores) for label in labels}
+            line = json.dumps({"stream_id": stream_id, "frame_id": frame_id, "scores": scores},
+                              ensure_ascii=draw(st.booleans()))
+            lines.append(line + draw(st.sampled_from(["", "\r"])))
+        elif kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\r"])))
+        elif kind == "fuzzed":
+            frame_id, score_a = "1", "0.5"
+            if draw(st.booleans()):
+                frame_id = draw(json_tokens)
+            else:
+                score_a = draw(json_tokens)
+            lines.append('{"stream_id": "fuzzed-%d", "frame_id": %s, "scores": {"a": %s, "b": 0.5}}'
+                         % (number, frame_id, score_a))
+            if not (allowed_token(frame_id, "frame_id") and allowed_token(score_a, "score")):
+                verdict = False
+        else:
+            lines.append(draw(st.text()))
+            if verdict:
+                verdict = None
+    return lines, verdict
 
 
 class TestStreaming:
@@ -258,17 +306,43 @@ class TestStreaming:
 class TestFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(lines=st.lists(
-        st.text() | st.sampled_from([frame_line("s", 1, {"a": 0.5, "b": 0.5})]) | fuzzed_records(),
-        max_size=4,
-    ), fmt=st.sampled_from(["jsonl", "csv"]))
-    def test_any_input_exits_ok_or_schema(self, lines, fmt, tmp_path):
+    @given(data=fuzzed_inputs(), fmt=st.sampled_from(["jsonl", "csv"]))
+    def test_any_input_exits_ok_or_schema(self, data, fmt, tmp_path):
+        lines, verdict = data
         src = tmp_path / "frames.jsonl"
         # surrogatepass: a lone surrogate becomes bytes that are not UTF-8.
         src.write_bytes("\n".join(lines).encode("utf-8", "surrogatepass"))
         code = run_cli("predict-stream", "--input", str(src), "--output", os.devnull,
                        "--format", fmt)
-        assert code in (0, 2)
+        if verdict is None:
+            assert code in (0, 2)
+        else:
+            assert code == (0 if verdict else 2)
+
+
+VALID_META = {"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": 0.9, "q": 0.7}
+
+
+# Values next to the metadata type rules: bools, numbers that are not
+# integers, numeric strings, and numbers out of every field's range.
+META_EDGES = [True, False, 2.7, "360", None, ["m"], 0, 1, -1, 1e300, 10**400, math.inf, math.nan]
+
+
+@st.composite
+def fuzzed_meta(draw):
+    """Run metadata with each field kept, dropped, or swapped for any JSON value."""
+    meta = {}
+    for name, valid in VALID_META.items():
+        fate = draw(st.integers(0, 15))
+        if fate > 3:
+            meta[name] = valid
+        elif fate > 0:
+            meta[name] = draw(st.sampled_from(META_EDGES) | json_values)
+    return meta
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
 
 
 class PieceSource:
@@ -441,6 +515,31 @@ class TestEnvFallbacks:
             err = capsys.readouterr().err
             assert "usage:" in err and "'abc'" in err
 
+    @pytest.mark.parametrize("name,raw", [("FORMAT", "xml"), ("AUTO_RESET", "maybe")])
+    def test_bad_choice_fallback_is_a_usage_error(self, name, raw, monkeypatch, capsys):
+        monkeypatch.setenv(f"FRAMEFUSE_{name}", raw)
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("predict-stream", "--input", os.devnull, "--output", os.devnull)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"FRAMEFUSE_{name}={raw!r}" in err
+
+    @pytest.mark.parametrize("name,raw,flag", [
+        ("FORMAT", "xml", "--format=jsonl"), ("AUTO_RESET", "maybe", "--no-auto-reset"),
+    ])
+    def test_given_flag_overrides_a_bad_fallback(self, name, raw, flag, monkeypatch):
+        monkeypatch.setenv(f"FRAMEFUSE_{name}", raw)
+        assert run_cli("predict-stream", "--input", os.devnull, "--output", os.devnull,
+                       flag) == 0
+
+    @pytest.mark.parametrize("raw,auto_reset", [
+        (" ON ", True), ("yes", True), ("1", True), ("Off", False), ("no", False), ("0", False),
+    ])
+    def test_auto_reset_fallback_words(self, raw, auto_reset, monkeypatch):
+        monkeypatch.setenv("FRAMEFUSE_AUTO_RESET", raw)
+        args = build_parser().parse_args(["predict-stream"])
+        assert args.auto_reset is auto_reset
+
 
 class TestTrain:
     @pytest.fixture
@@ -513,6 +612,31 @@ class TestTrain:
         )
         assert code == 4
         assert "not a number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--list-reply", "not a JSON object"),
+        ("--bad-utf8", "not UTF-8"),
+    ])
+    def test_reply_that_is_not_a_utf8_json_object_exits_backend_failure(
+            self, flag, message, manifests, capsys):
+        offline, crossval = manifests
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval),
+            "--backend", f"external:{sys.executable} {FAKE_BACKEND} {flag}",
+        )
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+    def test_empty_backend_command_exits_schema(self, manifests, capsys):
+        offline, crossval = manifests
+        code = run_cli(
+            "train", "--offline-manifest", str(offline),
+            "--crossval-manifest", str(crossval), "--backend", "external:",
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: backend command is empty\n"
 
     def test_foreign_labels_exit_backend_failure(self, manifests, capsys):
         offline, crossval = manifests
@@ -602,8 +726,17 @@ class TestEctiCommand:
         '{"model": "m", "duration_s": 5864, "image_count": 1e400, "accuracy": 0.9}',
         '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": NaN}',
         '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": Infinity}',
+        '{"model": "m", "duration_s": 5864, "image_count": 2.7, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": 5864, "image_count": true, "accuracy": 0.9}',
+        '{"model": "m", "duration_s": 5864, "image_count": "360", "accuracy": 0.9}',
+        '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": true}',
+        '{"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": 0.9, "q": true}',
+        '{"model": null, "duration_s": 5864, "image_count": 360, "accuracy": 0.9}',
+        '{"model": ["m"], "duration_s": 5864, "image_count": 360, "accuracy": 0.9}',
     ], ids=["list", "string", "nan-duration", "inf-duration", "null-duration",
-            "inf-image-count", "nan-accuracy", "inf-accuracy"])
+            "inf-image-count", "nan-accuracy", "inf-accuracy", "fractional-image-count",
+            "bool-image-count", "string-image-count", "bool-accuracy", "bool-q", "null-model",
+            "list-model"])
     def test_bad_meta_exits_schema(self, meta, fixtures_dir, tmp_path, capsys):
         meta_path = tmp_path / "meta.json"
         meta_path.write_text(meta)
@@ -611,6 +744,28 @@ class TestEctiCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(meta=fuzzed_meta())
+    def test_any_meta_exits_ok_with_strict_json_or_schema(self, meta, fixtures_dir, tmp_path,
+                                                           capsys):
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(json.dumps(meta))
+        code = run_cli("ecti", "--run", f"{meta_path},{fixtures_dir / 'vgg16_power.csv'}")
+        captured = capsys.readouterr()
+        if meta == VALID_META:
+            assert code == 0
+        if code == 0:
+            report = json.loads(captured.out, parse_constant=reject_constant)
+            assert report["models"][0]["model"] == meta["model"]
+            # nothing was coerced: each field has the JSON type the README names
+            assert meta["model"].__class__ is str and meta["image_count"].__class__ is int
+            for name in ("duration_s", "accuracy", "q"):
+                assert meta.get(name, 0.7).__class__ in (int, float)
+        else:
+            assert code == 2
+            assert captured.err.startswith("error: ") and captured.out == ""
 
     @pytest.mark.parametrize("rows", [
         "0,10.63\n10,nan\n",

@@ -5,14 +5,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framefuse.bayes import CategoryDistribution, ClassifierProfile
+from framefuse.cli import main
 from framefuse.pipeline import (
     OutOfOrderFrameError,
     StreamConfig,
     StreamEvent,
     StreamSchemaError,
-    analyzable_snippet_seconds,
     event_to_json,
-    events_to_csv,
     events_to_jsonl,
     process_stream,
     read_frame_streams,
@@ -21,6 +20,7 @@ from framefuse.pipeline import (
 from conftest import (
     TABLE1_EXPECTED,
     TABLE1_FRAMES,
+    TABLE1_P_CNN,
     TABLE1_RAW_LABELS,
     TABLE2_EXPECTED,
     TABLE2_FRAMES,
@@ -170,11 +170,16 @@ class TestWireFormats:
         assert parsed[0]["stream_id"] == "ucsd-traffic"
         assert parsed == [event_to_dict(e) for e in events]
 
-    def test_csv_summary(self, traffic_profile):
-        events = process_stream(
-            make_frames(TABLE1_FRAMES), continuous(traffic_profile, stream_id="cam-1")
-        )
-        lines = events_to_csv(events).splitlines()
+    def test_csv_summary(self, tmp_path):
+        frames = tmp_path / "frames.jsonl"
+        frames.write_text("".join(
+            json.dumps({"stream_id": "cam-1", "frame_id": i, "scores": scores}) + "\n"
+            for i, scores in enumerate(TABLE1_FRAMES, start=1)
+        ))
+        out = tmp_path / "events.csv"
+        assert main(["predict-stream", "--input", str(frames), "--output", str(out),
+                     "--format", "csv", "--no-auto-reset", "--p-cnn", str(TABLE1_P_CNN)]) == 0
+        lines = out.read_text().splitlines()
         assert lines[0] == "stream_id,frame_id,raw_label,tmav_label,degenerate"
         assert lines[1] == "cam-1,1,Fluid,Fluid,false"
         assert lines[3] == "cam-1,3,Jam,Fluid,false"
@@ -232,6 +237,3 @@ class TestWireFormats:
         elif tmav == "copy":
             event.tmav_scores = dict(event.raw_scores)
         assert event_to_json(event) == json.dumps(event_to_dict(event), sort_keys=True) + "\n"
-
-    def test_analyzable_snippet(self):
-        assert analyzable_snippet_seconds(1.3) == pytest.approx(9.1)

@@ -29,11 +29,11 @@ class TestCheckScores:
     ])
     def test_bad_reply_is_a_protocol_error(self, scores):
         with pytest.raises(ProtocolError):
-            backends.check_scores(scores, self.LABELS)
+            backends.check_reply_scores(scores, self.LABELS)
 
     def test_float32_rounding_and_extra_labels_are_accepted(self):
         scores = {"Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0}
-        assert backends.check_scores(scores, self.LABELS) == {
+        assert backends.check_reply_scores(scores, self.LABELS) == {
             "Empty": 0.2502, "Fluid": 0.25, "Heavy": 0.25, "Jam": 0.25, "Extra": 0.0}
 
 
@@ -62,6 +62,24 @@ class TestExternalBackend:
         with ExternalBackend(backend_command("--nan")) as backend:
             with pytest.raises(ProtocolError, match="not a number"):
                 backend.predict("a.jpg")
+
+    @pytest.mark.parametrize("flag,message", [
+        ("--list-reply", "not a JSON object"),
+        ("--bad-utf8", "not UTF-8"),
+    ])
+    def test_reply_that_is_not_a_utf8_json_object_is_a_protocol_error(self, flag, message):
+        with ExternalBackend(backend_command(flag)) as backend:
+            with pytest.raises(ProtocolError, match=message):
+                backend.predict("a.jpg")
+
+    @pytest.mark.parametrize("command", ["", "   "])
+    def test_empty_command_is_rejected_before_any_process_starts(self, command, monkeypatch):
+        def no_popen(*args, **kwargs):
+            raise AssertionError("Popen was called")
+
+        monkeypatch.setattr(subprocess, "Popen", no_popen)
+        with pytest.raises(ValueError, match="backend command is empty"):
+            ExternalBackend(command)
 
     def test_reply_lacking_a_manifest_label_is_a_protocol_error(self):
         with ExternalBackend(backend_command("--foreign"), ["Fluid", "Jam"]) as backend:
