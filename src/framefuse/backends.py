@@ -141,6 +141,8 @@ class ExternalBackend:
             reply = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ProtocolError(f"non-JSON reply: {line!r}") from exc
+        except RecursionError as exc:
+            raise ProtocolError(f"reply to request {request['id']} is nested too deep") from exc
         if not isinstance(reply, dict):
             raise ProtocolError(f"reply is not a JSON object: {line!r}")
         if reply.get("id") != request["id"]:

@@ -9,7 +9,7 @@ Posteriors are deliberately NOT renormalized to sum to 1.
 from __future__ import annotations
 
 import warnings
-from typing import Dict, Mapping, Optional, Tuple
+from collections.abc import Mapping
 
 # Every category below this chained posterior marks the window degenerate.
 DEGENERACY_EPSILON = 1e-4
@@ -93,7 +93,7 @@ class PosteriorState:
 
     __slots__ = ("posteriors", "steps_applied", "degenerate")
 
-    def __init__(self, posteriors: Optional[Dict[str, float]] = None, steps_applied: int = 0,
+    def __init__(self, posteriors: dict[str, float] | None = None, steps_applied: int = 0,
                  degenerate: bool = False):
         self.posteriors = {} if posteriors is None else posteriors
         self.steps_applied = steps_applied
@@ -109,7 +109,7 @@ def chained_posteriors(
     scores: Mapping[str, float],
     p_cnn: float,
     frame_id: int,
-) -> Dict[str, float]:
+) -> dict[str, float]:
     """One frame's Bayes step for every label: prior*s / (prior*s + p_cnn).
 
     Scores were checked by the score rule and p_cnn > 0 by ClassifierProfile,
@@ -146,7 +146,7 @@ def chain_update(
     )
 
 
-def argmax_label(posteriors: Mapping[str, float]) -> Tuple[str, float]:
+def argmax_label(posteriors: Mapping[str, float]) -> tuple[str, float]:
     """Label with the highest posterior; ties break lexicographically."""
     items = iter(posteriors.items())
     for best_label, best_value in items:

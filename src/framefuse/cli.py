@@ -18,7 +18,7 @@ import io
 import json
 import os
 import sys
-from typing import Iterator, Optional, Sequence
+from collections.abc import Iterator, Sequence
 
 from . import pipeline
 from .bayes import DEFAULT_Q, ClassifierProfile
@@ -104,19 +104,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_report(path: str, report: dict) -> bool:
-    """Write the report as indented JSON; on failure print the error and return False."""
+def _write_report(path: str, report: dict) -> None:
+    """Write the report as indented JSON."""
     text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    try:
-        if path == "-":
-            sys.stdout.write(text)
-        else:
-            with open(path, "w") as handle:
-                handle.write(text)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return False
-    return True
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        with open(path, "w") as handle:
+            handle.write(text)
 
 
 # The most input read at once. The events of one read leave in one write, so
@@ -164,40 +159,36 @@ def _read_lines(source, before_read) -> Iterator[bytes]:
 
 def cmd_predict_stream(args: argparse.Namespace) -> int:
     """Fold frames line by line; the events of one input read leave in one write."""
-    try:
-        profile = ClassifierProfile(model_name="classifier", p_cnn=args.p_cnn)
-        config = pipeline.StreamConfig(
-            profile=profile,
-            capacity_n=args.window,
-            auto_reset=args.auto_reset,
-            frame_interval_seconds=args.frame_interval,
-        )
-        with _open_binary(args.input, "rb") as source, _open_binary(args.output, "wb") as sink:
-            batch = _Batch()
+    profile = ClassifierProfile(model_name="classifier", p_cnn=args.p_cnn)
+    config = pipeline.StreamConfig(
+        profile=profile,
+        capacity_n=args.window,
+        auto_reset=args.auto_reset,
+        frame_interval_seconds=args.frame_interval,
+    )
+    with _open_binary(args.input, "rb") as source, _open_binary(args.output, "wb") as sink:
+        batch = _Batch()
 
-            def write_batch() -> None:
-                if batch:
-                    data = "".join(batch).encode()
-                    batch.clear()
-                    _write_all(sink, data)
-                    sink.flush()
+        def write_batch() -> None:
+            if batch:
+                data = "".join(batch).encode()
+                batch.clear()
+                _write_all(sink, data)
+                sink.flush()
 
-            if args.format == "csv":
-                import csv
+        if args.format == "csv":
+            import csv
 
-                writer = csv.writer(batch, lineterminator="\n")
-                writer.writerow(pipeline.CSV_HEADER)
-                encode, emit = pipeline.event_to_csv_row, writer.writerow
-            else:
-                encode, emit = pipeline.event_to_json, batch.append
-            try:
-                for event in pipeline.fold_lines(_read_lines(source, write_batch), config):
-                    emit(encode(event))
-            finally:
-                write_batch()  # the last line's event, or those before a bad line
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+            writer = csv.writer(batch, lineterminator="\n")
+            writer.writerow(pipeline.CSV_HEADER)
+            encode, emit = pipeline.event_to_csv_row, writer.writerow
+        else:
+            encode, emit = pipeline.event_to_json, batch.append
+        try:
+            for event in pipeline.fold_lines(_read_lines(source, write_batch), config):
+                emit(encode(event))
+        finally:
+            write_batch()  # the last line's event, or those before a bad line
     return EXIT_OK
 
 
@@ -215,18 +206,14 @@ def cmd_train(args: argparse.Namespace) -> int:
     from . import training
     from .backends import BackendError, ExternalBackend
 
-    try:
-        offline = training.load_manifest(args.offline_manifest)
-        crossval = training.load_manifest(args.crossval_manifest)
-        session = training.TrainingSession(
-            offline_set=offline,
-            crossval_set=crossval,
-            q_threshold=args.q,
-            max_retrain_rounds=args.max_retrain_rounds,
-        )
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
+    offline = training.load_manifest(args.offline_manifest)
+    crossval = training.load_manifest(args.crossval_manifest)
+    session = training.TrainingSession(
+        offline_set=offline,
+        crossval_set=crossval,
+        q_threshold=args.q,
+        max_retrain_rounds=args.max_retrain_rounds,
+    )
     labels = sorted({label for _, label in offline + crossval})
     backend = None
     try:
@@ -235,46 +222,32 @@ def cmd_train(args: argparse.Namespace) -> int:
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
     finally:
         if isinstance(backend, ExternalBackend):
             backend.close()
     report = training.session_report(session)
-    if not _write_report(args.output, report):
-        return EXIT_SCHEMA
+    _write_report(args.output, report)
     return EXIT_OK if report["quality_met"] else EXIT_QUALITY_NOT_MET
 
 
 def cmd_ecti(args: argparse.Namespace) -> int:
+    """ECTI per run; the model selected is the lowest-energy one whose ECTI is defined."""
     import dataclasses
 
     from . import energy
 
     results = []
-    try:
-        for run in args.run:
-            meta_path, _, power_path = run.partition(",")
-            if not power_path:
-                raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
-            meta = energy.load_run_meta(meta_path)
-            if args.q is not None:
-                meta = dataclasses.replace(meta, q_threshold=args.q)
-            kw = energy.average_power(energy.load_power_csv(power_path))
-            results.append((meta, energy.compute_ecti(meta, kw)))
-    except (ValueError, OverflowError, OSError) as exc:  # fsum overflows on huge power
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    candidates = [
-        (r.model_name, r.kwh_per_image, r.achieved_accuracy) for _, r in results
-    ]
-    q = args.q if args.q is not None else results[0][0].q_threshold
-    try:
-        selected: Optional[str] = energy.select_model(candidates, q)
-    except energy.NoQualifyingModelError:
-        selected = None
-    report = {
+    for run in args.run:
+        meta_path, _, power_path = run.partition(",")
+        if not power_path:
+            raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
+        meta = energy.load_run_meta(meta_path)
+        if args.q is not None:
+            meta = dataclasses.replace(meta, q_threshold=args.q)
+        kw = energy.average_power(energy.load_power_csv(power_path))
+        results.append(energy.compute_ecti(meta, kw))
+    defined = [(r.kwh_per_image, r.model_name) for r in results if r.defined]
+    _write_report(args.output, {
         "models": [
             {
                 "model": r.model_name,
@@ -282,23 +255,19 @@ def cmd_ecti(args: argparse.Namespace) -> int:
                 "defined": r.defined,
                 "accuracy": r.achieved_accuracy,
             }
-            for _, r in results
+            for r in results
         ],
-        "selected": selected,
-    }
-    return EXIT_OK if _write_report(args.output, report) else EXIT_SCHEMA
+        "selected": min(defined)[1] if defined else None,
+    })
+    return EXIT_OK
 
 
 def cmd_thermal(args: argparse.Namespace) -> int:
     from . import energy
 
-    try:
-        trace = energy.load_thermal_csv(args.trace, args.baseline_temp)
-        summary = energy.thermal_summary(trace)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCHEMA
-    report = {
+    trace = energy.load_thermal_csv(args.trace, args.baseline_temp)
+    summary = energy.thermal_summary(trace)
+    _write_report(args.output, {
         "peak_c": summary.peak,
         "mean_c": summary.mean,
         "baseline_c": trace.baseline_temp,
@@ -309,11 +278,13 @@ def cmd_thermal(args: argparse.Namespace) -> int:
             )
             for interval in energy.LIFESPAN_DOUBLING_INTERVALS
         },
-    }
-    return EXIT_OK if _write_report(args.output, report) else EXIT_SCHEMA
+    })
+    return EXIT_OK
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command. An input or output error exits 2; only train maps
+    its backend's failure (exit 4) itself."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for value in vars(args).values():
@@ -325,7 +296,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "ecti": cmd_ecti,
         "thermal": cmd_thermal,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (OSError, ValueError, OverflowError) as exc:  # OverflowError: e.g. a huge power trace
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCHEMA
 
 
 if __name__ == "__main__":

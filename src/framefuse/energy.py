@@ -220,18 +220,28 @@ _META_TYPES = {
 def load_run_meta(path: Path) -> TrainingRunMeta:
     """Run metadata JSON: {model, duration_s, image_count, accuracy, q}; q is optional.
 
-    Each field must have its JSON type; nothing is coerced.
+    Each field must have its JSON type, and a number must fit a float;
+    nothing is coerced.
     """
     with open(path) as handle:
-        record = json.load(handle)
+        try:
+            record = json.load(handle)
+        except RecursionError as exc:
+            raise ValueError(f"{path}: run metadata is nested too deep") from exc
     if not isinstance(record, dict):
         raise ValueError(f"{path}: run metadata must be a JSON object")
     record = {"q": DEFAULT_Q, **record}
     for name, (test, json_type) in _META_TYPES.items():
         if name not in record:
             raise ValueError(f"{path}: missing field {name!r}")
-        if not test(record[name]):
-            raise ValueError(f"{path}: {name} must be {json_type}, got {record[name]!r}")
+        value = record[name]
+        if not test(value):
+            raise ValueError(f"{path}: {name} must be {json_type}, got {value!r}")
+        if value.__class__ is int:
+            try:
+                float(value)
+            except OverflowError:
+                raise ValueError(f"{path}: {name} is too large for a float") from None
     try:
         return TrainingRunMeta(
             model_name=record["model"],

@@ -10,9 +10,9 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .bayes import (
     DEGENERACY_EPSILON,
@@ -52,7 +52,7 @@ class StreamEvent:
 
     def __init__(self, frame_id: int, raw_label: str, raw_scores: Mapping[str, float],
                  tmav_label: str, tmav_scores: Mapping[str, float], degenerate: bool,
-                 wall_time: Optional[float] = None, stream_id: str = ""):
+                 wall_time: float | None = None, stream_id: str = ""):
         self.frame_id = frame_id
         self.raw_label = raw_label
         self.raw_scores = raw_scores
@@ -80,7 +80,7 @@ class StreamConfig:
     __slots__ = ("profile", "capacity_n", "auto_reset", "frame_interval_seconds", "stream_id")
 
     def __init__(self, profile: ClassifierProfile, capacity_n: int = DEFAULT_WINDOW,
-                 auto_reset: bool = True, frame_interval_seconds: Optional[float] = None,
+                 auto_reset: bool = True, frame_interval_seconds: float | None = None,
                  stream_id: str = ""):
         if capacity_n < 0:
             raise ValueError("capacity_n must be >= 0")
@@ -110,7 +110,7 @@ class StreamFold:
         self.stream_id = stream_id
         self.posteriors: Mapping[str, float] = {}  # the chain; read only once steps > 0
         self.steps = 0  # frames chained since the window started
-        self.last_frame_id: Optional[int] = None
+        self.last_frame_id: int | None = None
         self.frames_seen = 0
 
     def fold(self, frame_id: int, scores: Mapping[str, float]) -> StreamEvent:
@@ -148,13 +148,13 @@ class StreamFold:
 def process_stream(
     frames: Iterable[CategoryDistribution],
     config: StreamConfig,
-) -> List[StreamEvent]:
+) -> list[StreamEvent]:
     """Run one stream's frames through a fresh fold named ``config.stream_id``."""
     fold = StreamFold(config, config.stream_id)
     return [fold.fold(frame.frame_id, frame.scores) for frame in frames]
 
 
-def _load_record(line: str, line_number: int) -> Tuple[str, int, dict]:
+def _load_record(line: str, line_number: int) -> tuple[str, int, dict]:
     """One JSONL record -> (stream_id, frame_id, scores), scores not yet checked."""
     try:
         record = json.loads(line)
@@ -186,7 +186,7 @@ def _load_record(line: str, line_number: int) -> Tuple[str, int, dict]:
     return stream_id, frame_id, scores
 
 
-def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribution]:
+def parse_frame_line(line: str, line_number: int) -> tuple[str, CategoryDistribution]:
     """One JSONL record -> (stream_id, distribution). Raises StreamSchemaError."""
     stream_id, frame_id, scores = _load_record(line, line_number)
     try:
@@ -196,9 +196,9 @@ def parse_frame_line(line: str, line_number: int) -> Tuple[str, CategoryDistribu
     return stream_id, dist
 
 
-def read_frame_streams(lines: Iterable[str]) -> Dict[str, List[CategoryDistribution]]:
+def read_frame_streams(lines: Iterable[str]) -> dict[str, list[CategoryDistribution]]:
     """Group JSONL frame records by stream_id, preserving per-stream order."""
-    streams: Dict[str, List[CategoryDistribution]] = {}
+    streams: dict[str, list[CategoryDistribution]] = {}
     for line_number, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -215,7 +215,7 @@ def fold_lines(lines: Iterable[bytes], config: StreamConfig) -> Iterator[StreamE
     an error from a frame's fold is raised as StreamSchemaError with its line
     number.
     """
-    folds: Dict[str, StreamFold] = {}
+    folds: dict[str, StreamFold] = {}
     for line_number, raw in enumerate(lines, start=1):
         try:
             line = raw.decode()
@@ -236,7 +236,7 @@ def fold_lines(lines: Iterable[bytes], config: StreamConfig) -> Iterator[StreamE
 
 
 @lru_cache(maxsize=256)  # bounded: fuzzed input brings arbitrary label sets
-def _scores_format(labels: Tuple[str, ...]) -> Tuple[str, Callable]:
+def _scores_format(labels: tuple[str, ...]) -> tuple[str, Callable]:
     """A ``%`` template for a score map with these labels, and its value getter.
 
     The template holds the labels in sorted order, escaped as json.dumps

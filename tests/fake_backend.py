@@ -9,6 +9,7 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --linger     keep running for a minute after stdin closes
   --list-reply answer every predict with a JSON list, not an object
   --bad-utf8   answer every predict with a line that is not UTF-8
+  --deep-reply answer every predict with 100 000 nested JSON lists
 """
 
 import argparse
@@ -33,6 +34,7 @@ def main():
     parser.add_argument("--linger", action="store_true")
     parser.add_argument("--list-reply", action="store_true")
     parser.add_argument("--bad-utf8", action="store_true")
+    parser.add_argument("--deep-reply", action="store_true")
     args = parser.parse_args()
 
     memory = {}
@@ -57,6 +59,10 @@ def main():
             reply["ok"] = True
         elif op == "predict" and args.list_reply:
             reply = [reply["id"]]
+        elif op == "predict" and args.deep_reply:
+            sys.stdout.write("[" * 100_000 + "]" * 100_000 + "\n")
+            sys.stdout.flush()
+            continue
         elif op == "predict" and args.bad_utf8:
             sys.stdout.buffer.write(b'{"id": %d, "scores": {"\xff": 1.0}}\n' % reply["id"])
             sys.stdout.buffer.flush()

@@ -689,6 +689,36 @@ def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys)
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("command,argv,code,message", [
+    ("predict-stream", ["--input", "{tmp}/missing.jsonl"], 2, "missing.jsonl"),
+    ("predict-stream", ["--input", "{tmp}/deep.json"], 2, "line 1"),
+    ("ecti", ["--run", "{tmp}/missing.json,{fixtures}/vgg16_power.csv"], 2, "missing.json"),
+    ("ecti", ["--run", "{tmp}/deep.json,{fixtures}/vgg16_power.csv"], 2, "nested too deep"),
+    ("ecti", ["--run", "{tmp}/huge.json,{fixtures}/vgg16_power.csv"], 2, "huge.json: duration_s"),
+    ("train", ["--offline-manifest", "{tmp}/missing.csv", "--crossval-manifest",
+               "{tmp}/missing.csv"], 2, "missing.csv"),
+    ("train", ["--offline-manifest", "{tmp}/manifest.csv", "--crossval-manifest",
+               "{tmp}/manifest.csv", "--backend",
+               f"external:{sys.executable} {FAKE_BACKEND} --deep-reply"], 4, "nested too deep"),
+    ("thermal", ["--trace", "{tmp}/missing.csv", "--baseline-temp", "69.24"], 2, "missing.csv"),
+], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
+        "train-missing", "train-deep-reply", "thermal-missing"])
+def test_bad_input_exits_its_code_without_traceback(command, argv, code, message, fixtures_dir,
+                                                    tmp_path):
+    (tmp_path / "deep.json").write_text("[" * 100_000 + "\n")
+    (tmp_path / "huge.json").write_text(
+        f'{{"model": "m", "duration_s": {10**400}, "image_count": 360, "accuracy": 0.9}}')
+    (tmp_path / "manifest.csv").write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
+    argv = [arg.format(tmp=tmp_path, fixtures=fixtures_dir) for arg in argv]
+    env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
+    env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-m", "framefuse.cli", command, *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
+    assert message in proc.stderr
+
+
 class TestEctiCommand:
     def test_published_figures_and_verdict(self, fixtures_dir, tmp_path):
         out = tmp_path / "report.json"
@@ -716,6 +746,30 @@ class TestEctiCommand:
         report = json.loads(out.read_text())
         assert report["models"][0]["defined"] is False
         assert report["selected"] is None
+
+    @pytest.mark.parametrize("order", [("A", "B"), ("B", "A")])
+    def test_selects_only_a_model_whose_ecti_is_defined(self, order, fixtures_dir, tmp_path):
+        # B spends a tenth of A's energy per image but misses its own Q.
+        metas = {
+            "A": {"model": "A", "duration_s": 3600, "image_count": 100, "accuracy": 0.75,
+                  "q": 0.7},
+            "B": {"model": "B", "duration_s": 3600, "image_count": 1000, "accuracy": 0.9,
+                  "q": 0.95},
+        }
+        runs = []
+        for name in order:
+            meta_path = tmp_path / f"{name}.json"
+            meta_path.write_text(json.dumps(metas[name]))
+            runs += ["--run", f"{meta_path},{fixtures_dir / 'vgg16_power.csv'}"]
+        out = tmp_path / "report.json"
+        assert run_cli("ecti", *runs, "--output", str(out)) == 0
+        report = json.loads(out.read_text())
+        by_model = {m["model"]: m for m in report["models"]}
+        assert [m["model"] for m in report["models"]] == list(order)
+        assert by_model["A"]["defined"] is True and by_model["B"]["defined"] is False
+        assert by_model["B"]["ecti_kwh_per_image"] == pytest.approx(
+            by_model["A"]["ecti_kwh_per_image"] / 10)
+        assert report["selected"] == "A"
 
     @pytest.mark.parametrize("meta", [
         "[1]",

@@ -66,6 +66,7 @@ class TestExternalBackend:
     @pytest.mark.parametrize("flag,message", [
         ("--list-reply", "not a JSON object"),
         ("--bad-utf8", "not UTF-8"),
+        ("--deep-reply", "nested too deep"),
     ])
     def test_reply_that_is_not_a_utf8_json_object_is_a_protocol_error(self, flag, message):
         with ExternalBackend(backend_command(flag)) as backend:
