@@ -232,8 +232,6 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def cmd_ecti(args: argparse.Namespace) -> int:
     """ECTI per run; the model selected is the lowest-energy one whose ECTI is defined."""
-    import dataclasses
-
     from . import energy
 
     results = []
@@ -241,12 +239,9 @@ def cmd_ecti(args: argparse.Namespace) -> int:
         meta_path, _, power_path = run.partition(",")
         if not power_path:
             raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
-        meta = energy.load_run_meta(meta_path)
-        if args.q is not None:
-            meta = dataclasses.replace(meta, q_threshold=args.q)
+        meta = energy.load_run_meta(meta_path, args.q)
         kw = energy.average_power(energy.load_power_csv(power_path))
         results.append(energy.compute_ecti(meta, kw))
-    defined = [(r.kwh_per_image, r.model_name) for r in results if r.defined]
     _write_report(args.output, {
         "models": [
             {
@@ -257,7 +252,7 @@ def cmd_ecti(args: argparse.Namespace) -> int:
             }
             for r in results
         ],
-        "selected": min(defined)[1] if defined else None,
+        "selected": energy.select_model(results),
     })
     return EXIT_OK
 
@@ -265,17 +260,15 @@ def cmd_ecti(args: argparse.Namespace) -> int:
 def cmd_thermal(args: argparse.Namespace) -> int:
     from . import energy
 
-    trace = energy.load_thermal_csv(args.trace, args.baseline_temp)
-    summary = energy.thermal_summary(trace)
+    baseline = args.baseline_temp
+    peak, mean, deviation = energy.thermal_summary(energy.load_thermal_csv(args.trace), baseline)
     _write_report(args.output, {
-        "peak_c": summary.peak,
-        "mean_c": summary.mean,
-        "baseline_c": trace.baseline_temp,
-        "deviation_c": summary.deviation_from_baseline,
+        "peak_c": peak,
+        "mean_c": mean,
+        "baseline_c": baseline,
+        "deviation_c": deviation,
         "lifespan_reduction": {
-            f"per_{int(interval)}c": energy.lifespan_reduction(
-                summary.peak, trace.baseline_temp, interval
-            )
+            f"per_{int(interval)}c": energy.lifespan_reduction(peak, baseline, interval)
             for interval in energy.LIFESPAN_DOUBLING_INTERVALS
         },
     })
@@ -284,7 +277,8 @@ def cmd_thermal(args: argparse.Namespace) -> int:
 
 def main(argv: Sequence[str] | None = None) -> int:
     """Run one command. An input or output error exits 2; only train maps
-    its backend's failure (exit 4) itself."""
+    its backend's failure (exit 4) itself. A reader that closes the output
+    pipe chose to stop: that exits 0, silently."""
     parser = build_parser()
     args = parser.parse_args(argv)
     for value in vars(args).values():
@@ -298,6 +292,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # Point stdout at devnull, so that the flush at shutdown writes nothing.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, ValueError, OverflowError) as exc:  # OverflowError: e.g. a huge power trace
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA

@@ -6,9 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
 
 from .bayes import DEFAULT_Q, check_probability, is_number
 
@@ -21,44 +19,13 @@ class TraceError(ValueError):
     """A power/thermal trace is empty, unordered, or physically implausible."""
 
 
-class NoQualifyingModelError(ValueError):
-    """Every candidate fell below the quality threshold."""
-
-
-def _check_timestamps(timestamps: Sequence[float]) -> None:
-    for t in timestamps:
+def _check_timestamps(rows: list[tuple[float, float]]) -> None:
+    for t, _ in rows:
         if not math.isfinite(t):
             raise TraceError(f"timestamp {t} is not a finite number")
-    for previous, current in zip(timestamps, timestamps[1:]):
+    for (previous, _), (current, _) in zip(rows, rows[1:]):
         if current <= previous:
             raise TraceError(f"timestamps must strictly increase ({previous} -> {current})")
-
-
-@dataclass(frozen=True)
-class PowerTrace:
-    samples: Tuple[Tuple[float, float], ...]  # (timestamp s, watts)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple((float(t), float(w)) for t, w in self.samples))
-        _check_timestamps([t for t, _ in self.samples])
-        for t, watts in self.samples:
-            if not 0 <= watts < math.inf:
-                raise TraceError(f"power must be finite and >= 0, got {watts} W at t={t}")
-
-
-@dataclass(frozen=True)
-class ThermalTrace:
-    samples: Tuple[Tuple[float, float], ...]  # (timestamp s, celsius)
-    baseline_temp: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "samples", tuple((float(t), float(c)) for t, c in self.samples))
-        _check_timestamps([t for t, _ in self.samples])
-        for t, celsius in self.samples:
-            if not TEMP_GUARD_LOW <= celsius <= TEMP_GUARD_HIGH:
-                raise TraceError(f"implausible temperature {celsius} C at t={t}")
-        if not math.isfinite(self.baseline_temp):
-            raise TraceError(f"baseline temperature must be finite, got {self.baseline_temp!r}")
 
 
 @dataclass(frozen=True)
@@ -89,27 +56,19 @@ class EctiResult:
     defined: bool
     achieved_accuracy: float
 
-    @property
-    def value(self) -> Optional[float]:
-        return self.kwh_per_image if self.defined else None
 
-
-@dataclass(frozen=True)
-class ThermalSummary:
-    peak: float
-    mean: float
-    deviation_from_baseline: float
-
-
-def average_power(trace: PowerTrace) -> float:
-    """Time-weighted mean power over the trace span, in kW (trapezoid rule)."""
-    if len(trace.samples) < 2:
+def average_power(rows: list[tuple[float, float]]) -> float:
+    """Time-weighted mean power of (timestamp s, watts) rows, in kW (trapezoid rule)."""
+    _check_timestamps(rows)
+    for t, watts in rows:
+        if not 0 <= watts < math.inf:
+            raise TraceError(f"power must be finite and >= 0, got {watts} W at t={t}")
+    if len(rows) < 2:
         raise TraceError("average_power needs at least 2 samples")
-    samples = trace.samples
     energy_joules = math.fsum(
-        (t1 - t0) * (w0 + w1) / 2 for (t0, w0), (t1, w1) in zip(samples, samples[1:])
+        (t1 - t0) * (w0 + w1) / 2 for (t0, w0), (t1, w1) in zip(rows, rows[1:])
     )
-    return energy_joules / (samples[-1][0] - samples[0][0]) / 1000.0
+    return energy_joules / (rows[-1][0] - rows[0][0]) / 1000.0
 
 
 def compute_ecti(meta: TrainingRunMeta, average_power_kw: float) -> EctiResult:
@@ -127,20 +86,11 @@ def compute_ecti(meta: TrainingRunMeta, average_power_kw: float) -> EctiResult:
     )
 
 
-def select_model(
-    candidates: Sequence[Tuple[str, float, float]], q: float = DEFAULT_Q
-) -> str:
-    """Pick the lowest-energy candidate among those meeting the threshold.
-
-    Candidates are (model_name, ecti_kwh_per_image, accuracy) triples; ties
-    break lexicographically by name.
-    """
-    if not candidates:
-        raise ValueError("candidates must be non-empty")
-    qualifying = [(ecti, name) for name, ecti, accuracy in candidates if accuracy >= q]
-    if not qualifying:
-        raise NoQualifyingModelError(f"no candidate reached accuracy {q}")
-    return min(qualifying)[1]
+def select_model(results: list[EctiResult]) -> str | None:
+    """The lowest-energy model among those whose ECTI is defined, ties broken
+    by name; None when no ECTI is defined."""
+    defined = [(r.kwh_per_image, r.model_name) for r in results if r.defined]
+    return min(defined)[1] if defined else None
 
 
 def lifespan_reduction(
@@ -159,23 +109,39 @@ def lifespan_reduction(
     return (delta / doubling_interval) * 2.0
 
 
-def thermal_summary(trace: ThermalTrace) -> ThermalSummary:
-    """Peak, mean, and peak deviation from the idle baseline."""
-    if not trace.samples:
+def thermal_summary(
+    rows: list[tuple[float, float]], baseline_temp: float
+) -> tuple[float, float, float]:
+    """(peak, mean, peak deviation from the idle baseline) of (timestamp s, celsius) rows."""
+    _check_timestamps(rows)
+    for t, celsius in rows:
+        if not TEMP_GUARD_LOW <= celsius <= TEMP_GUARD_HIGH:
+            raise TraceError(f"implausible temperature {celsius} C at t={t}")
+    if not math.isfinite(baseline_temp):
+        raise TraceError(f"baseline temperature must be finite, got {baseline_temp!r}")
+    if not rows:
         raise TraceError("thermal trace is empty")
-    temps = [c for _, c in trace.samples]
+    temps = [c for _, c in rows]
     peak = max(temps)
-    if trace.baseline_temp > peak:
-        raise TraceError(f"baseline {trace.baseline_temp} C is above the trace peak {peak} C")
-    return ThermalSummary(
-        peak=peak,
-        mean=math.fsum(temps) / len(temps),
-        deviation_from_baseline=peak - trace.baseline_temp,
-    )
+    if baseline_temp > peak:
+        raise TraceError(f"baseline {baseline_temp} C is above the trace peak {peak} C")
+    return peak, math.fsum(temps) / len(temps), peak - baseline_temp
 
 
-def _load_two_column_csv(path: Path, expected_header: Tuple[str, str]) -> List[Tuple[float, float]]:
-    rows: List[Tuple[float, float]] = []
+def _json_number(cell: str) -> float | None:
+    """The cell as a float if it is one JSON number, else None: 7_0, +1, nan
+    and inf are not JSON numbers. An integer too large for a float reads as
+    inf, as 1e400 does."""
+    try:
+        # parse_constant=str turns NaN and Infinity into strings, which fail below.
+        value = json.loads(cell, parse_int=float, parse_constant=str)
+    except (ValueError, RecursionError):
+        return None
+    return value if value.__class__ is float else None
+
+
+def _load_two_column_csv(path: str, expected_header: tuple[str, str]) -> list[tuple[float, float]]:
+    rows = []
     with open(path, newline="") as handle:
         header = handle.readline().strip()
         if tuple(header.split(",")) != expected_header:
@@ -185,25 +151,23 @@ def _load_two_column_csv(path: Path, expected_header: Tuple[str, str]) -> List[T
         for line_number, line in enumerate(handle, start=2):
             if not line.strip():
                 continue
-            parts = line.strip().split(",")
-            if len(parts) != 2:
+            cells = line.strip().split(",")
+            if len(cells) != 2:
                 raise TraceError(f"{path}: line {line_number}: expected 2 columns")
-            try:
-                rows.append((float(parts[0]), float(parts[1])))
-            except ValueError as exc:
-                raise TraceError(f"{path}: line {line_number}: {exc}") from exc
+            row = tuple(map(_json_number, cells))
+            if None in row:
+                cell = cells[row.index(None)].strip()
+                raise TraceError(f"{path}: line {line_number}: {cell!r} is not a JSON number")
+            rows.append(row)
     return rows
 
 
-def load_power_csv(path: Path) -> PowerTrace:
-    return PowerTrace(samples=tuple(_load_two_column_csv(Path(path), ("timestamp_s", "watts"))))
+def load_power_csv(path: str) -> list[tuple[float, float]]:
+    return _load_two_column_csv(path, ("timestamp_s", "watts"))
 
 
-def load_thermal_csv(path: Path, baseline_temp: float) -> ThermalTrace:
-    return ThermalTrace(
-        samples=tuple(_load_two_column_csv(Path(path), ("timestamp_s", "celsius"))),
-        baseline_temp=baseline_temp,
-    )
+def load_thermal_csv(path: str) -> list[tuple[float, float]]:
+    return _load_two_column_csv(path, ("timestamp_s", "celsius"))
 
 
 # Each run metadata field's JSON type: its test and its name. TrainingRunMeta
@@ -217,17 +181,20 @@ _META_TYPES = {
 }
 
 
-def load_run_meta(path: Path) -> TrainingRunMeta:
+def load_run_meta(path: str, q: float | None = None) -> TrainingRunMeta:
     """Run metadata JSON: {model, duration_s, image_count, accuracy, q}; q is optional.
 
     Each field must have its JSON type, and a number must fit a float;
-    nothing is coerced.
+    nothing is coerced. A q given here replaces the file's own, which must
+    still be valid.
     """
-    with open(path) as handle:
+    with open(path, encoding="utf-8") as handle:
         try:
             record = json.load(handle)
         except RecursionError as exc:
             raise ValueError(f"{path}: run metadata is nested too deep") from exc
+        except ValueError as exc:  # not JSON, not UTF-8, or an integer too long to read
+            raise ValueError(f"{path}: {exc}") from exc
     if not isinstance(record, dict):
         raise ValueError(f"{path}: run metadata must be a JSON object")
     record = {"q": DEFAULT_Q, **record}
@@ -243,7 +210,7 @@ def load_run_meta(path: Path) -> TrainingRunMeta:
             except OverflowError:
                 raise ValueError(f"{path}: {name} is too large for a float") from None
     try:
-        return TrainingRunMeta(
+        meta = TrainingRunMeta(
             model_name=record["model"],
             duration_hours=record["duration_s"] / 3600.0,
             image_count=record["image_count"],
@@ -252,3 +219,4 @@ def load_run_meta(path: Path) -> TrainingRunMeta:
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
+    return meta if q is None else replace(meta, q_threshold=q)

@@ -73,10 +73,7 @@ def test_energy_per_training_image():
     )
     assert vgg16.kwh_per_image == pytest.approx(48.097e-6, rel=1e-3)
     assert resnet50.kwh_per_image == pytest.approx(62.817e-6, rel=1e-3)
-    winner = select_model(
-        [(r.model_name, r.kwh_per_image, r.achieved_accuracy) for r in (vgg16, resnet50)],
-        q=0.7,
-    )
+    winner = select_model([vgg16, resnet50])  # both at the default Q of 0.7
     assert winner == "VGG16"
     report("energy per training image (48.097e-6 / 62.817e-6 kWh, VGG16 selected)")
 

@@ -260,6 +260,33 @@ class TestStreaming:
                 proc.wait()
             proc.stdout.close()
 
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_output_pipe_exits_ok_without_a_message(self, unbuffered, tmp_path):
+        # The events (~3 MB) fill the pipe, so the CLI is still writing when
+        # the reader closes it after one line, as `| head -1` does.
+        src = tmp_path / "frames.jsonl"
+        src.write_text("".join(frame_line(f"cam-{i % 7}", i, {"a": 0.25, "b": 0.75}) + "\n"
+                               for i in range(1, 20_001)))
+        env = {k: v for k, v in os.environ.items()
+               if k != "PYTHONUNBUFFERED" and not k.startswith("FRAMEFUSE_")}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "framefuse.cli", "predict-stream", "--input", str(src)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        try:
+            assert json.loads(proc.stdout.readline())["frame_id"] == 1
+            proc.stdout.close()
+            assert proc.wait(timeout=30) == 0
+            assert proc.stderr.read() == b""
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            proc.stderr.close()
+
     @staticmethod
     def run_in_fresh_interpreter(tmp_path, *flags):
         """One-frame predict-stream in a new interpreter: (modules loaded, output text).
@@ -343,6 +370,45 @@ def fuzzed_meta(draw):
 
 def reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
+
+
+# Trace cells next to the number rule: Python-only spellings, JSON constants,
+# numbers beyond a float, padding and an empty cell.
+TRACE_EDGES = ["7_0", "1_00", "+1", "nan", "inf", "NaN", "-Infinity", "0x10", "1.", ".5",
+               "1e400", "1" + "0" * 400, " 93.6 ", "-0", ""]
+trace_edges = st.sampled_from(TRACE_EDGES) | json_values.map(json.dumps)
+trace_numbers = st.integers(-30, 160).map(str) | st.floats(-30, 160).map(repr)
+
+
+@st.composite
+def trace_rows(draw):
+    """The rows of a trace CSV: rising timestamps and numbers near the plausible
+    range, and now and then a cell swapped for an edge."""
+    rows = []
+    for number in range(draw(st.integers(0, 6))):
+        cells = [str(10 * number), draw(trace_numbers)]
+        cells = [draw(trace_edges) if draw(st.integers(0, 7)) == 0 else cell for cell in cells]
+        rows.append(",".join(cells) + "\n")
+    return "".join(rows)
+
+
+def is_strict_json_number(cell):
+    try:
+        value = json.loads(cell, parse_constant=reject_constant)
+    except ValueError:
+        return False
+    return value.__class__ in (int, float)
+
+
+def check_report_or_schema(code, captured, rows):
+    """Exit 0 with strict JSON, every trace cell a JSON number; or exit 2 with an error."""
+    if code == 0:
+        assert all(is_strict_json_number(cell)
+                   for row in rows.splitlines() for cell in row.split(","))
+        return json.loads(captured.out, parse_constant=reject_constant)
+    assert code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+    return None
 
 
 class PieceSource:
@@ -701,11 +767,23 @@ def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys)
                "{tmp}/manifest.csv", "--backend",
                f"external:{sys.executable} {FAKE_BACKEND} --deep-reply"], 4, "nested too deep"),
     ("thermal", ["--trace", "{tmp}/missing.csv", "--baseline-temp", "69.24"], 2, "missing.csv"),
+    ("ecti", ["--run", "{tmp}/bad.json,{fixtures}/vgg16_power.csv"], 2,
+     "bad.json: Expecting property name"),
+    ("ecti", ["--run", "{tmp}/not-utf8.json,{fixtures}/vgg16_power.csv"], 2,
+     "not-utf8.json: 'utf-8' codec can't decode"),
+    ("thermal", ["--trace", "{tmp}/underscore.csv", "--baseline-temp", "69.24"], 2,
+     "underscore.csv: line 2: '7_0' is not a JSON number"),
+    ("ecti", ["--run", "{fixtures}/vgg16_meta.json,{fixtures}/vgg16_power.csv", "--q", "1.5"], 2,
+     "q_threshold"),
 ], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
-        "train-missing", "train-deep-reply", "thermal-missing"])
+        "train-missing", "train-deep-reply", "thermal-missing", "ecti-meta-not-json",
+        "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1"])
 def test_bad_input_exits_its_code_without_traceback(command, argv, code, message, fixtures_dir,
                                                     tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "\n")
+    (tmp_path / "bad.json").write_text("{bad")
+    (tmp_path / "not-utf8.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "underscore.csv").write_text("timestamp_s,celsius\n0,7_0\n1, 8_0 \n")
     (tmp_path / "huge.json").write_text(
         f'{{"model": "m", "duration_s": {10**400}, "image_count": 360, "accuracy": 0.9}}')
     (tmp_path / "manifest.csv").write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
@@ -836,6 +914,18 @@ class TestEctiCommand:
         assert captured.err.startswith("error: ")
         assert captured.out == ""
 
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=trace_rows())
+    def test_any_power_trace_exits_ok_with_strict_json_or_schema(self, rows, fixtures_dir,
+                                                                 tmp_path, capsys):
+        power = tmp_path / "power.csv"
+        power.write_text("timestamp_s,watts\n" + rows)
+        code = run_cli("ecti", "--run", f"{fixtures_dir / 'vgg16_meta.json'},{power}")
+        report = check_report_or_schema(code, capsys.readouterr(), rows)
+        if report is not None:
+            assert report["selected"] == "VGG16"
+
 
 class TestThermalCommand:
     def test_vgg16_style_trace(self, fixtures_dir, tmp_path):
@@ -880,3 +970,17 @@ class TestThermalCommand:
         assert captured.err.startswith("error: ")
         assert "baseline" in captured.err
         assert captured.out == ""
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rows=trace_rows(), baseline=st.floats() | st.floats(-30, 160))
+    def test_any_trace_exits_ok_with_strict_json_or_schema(self, rows, baseline, tmp_path,
+                                                           capsys):
+        trace = tmp_path / "thermal.csv"
+        trace.write_text("timestamp_s,celsius\n" + rows)
+        code = run_cli("thermal", "--trace", str(trace), f"--baseline-temp={baseline!r}")
+        report = check_report_or_schema(code, capsys.readouterr(), rows)
+        if report is not None:
+            assert report["baseline_c"] == baseline
+            assert report["peak_c"] == max(float(row.split(",")[1])
+                                           for row in rows.splitlines())

@@ -4,9 +4,6 @@ from hypothesis import strategies as st
 
 from framefuse.energy import (
     EctiResult,
-    NoQualifyingModelError,
-    PowerTrace,
-    ThermalTrace,
     TraceError,
     TrainingRunMeta,
     average_power,
@@ -30,7 +27,7 @@ RESNET50_META = TrainingRunMeta(
 
 
 def constant_trace(watts, seconds=600, step=10):
-    return PowerTrace(samples=tuple((t, watts) for t in range(0, seconds + 1, step)))
+    return [(t, watts) for t in range(0, seconds + 1, step)]
 
 
 class TestAveragePower:
@@ -38,29 +35,29 @@ class TestAveragePower:
         assert average_power(constant_trace(10.63)) == pytest.approx(0.01063)
 
     def test_two_samples(self):
-        trace = PowerTrace(samples=((0.0, 2.0), (1.0, 2.0)))
+        trace = [(0.0, 2.0), (1.0, 2.0)]
         assert average_power(trace) == pytest.approx(0.002)
 
     def test_triangle_trapezoid(self):
         # hand computation: area = 0.5*1*2 + 0.5*1*2 = 2 J over 2 s -> 1 W
-        trace = PowerTrace(samples=((0.0, 0.0), (1.0, 2.0), (2.0, 0.0)))
+        trace = [(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)]
         assert average_power(trace) == pytest.approx(0.001)
 
     def test_too_few_samples(self):
         with pytest.raises(TraceError):
-            average_power(PowerTrace(samples=((0.0, 1.0),)))
+            average_power([(0.0, 1.0)])
 
     @given(offset=st.floats(min_value=-1e5, max_value=1e5))
     def test_timestamp_translation_invariance(self, offset):
-        base = PowerTrace(samples=((0.0, 1.0), (1.0, 3.0), (4.0, 2.0)))
-        shifted = PowerTrace(samples=tuple((t + offset, w) for t, w in base.samples))
+        base = [(0.0, 1.0), (1.0, 3.0), (4.0, 2.0)]
+        shifted = [(t + offset, w) for t, w in base]
         assert average_power(shifted) == pytest.approx(average_power(base), rel=1e-9)
 
     def test_trace_validation(self):
         with pytest.raises(TraceError):
-            PowerTrace(samples=((1.0, 1.0), (1.0, 2.0)))
+            average_power([(1.0, 1.0), (1.0, 2.0)])
         with pytest.raises(TraceError):
-            PowerTrace(samples=((0.0, -1.0), (1.0, 2.0)))
+            average_power([(0.0, -1.0), (1.0, 2.0)])
 
     @pytest.mark.parametrize("samples", [
         ((0.0, 1.0), (1.0, float("nan"))),
@@ -70,7 +67,7 @@ class TestAveragePower:
     ], ids=["nan-watts", "inf-watts", "nan-timestamp", "inf-timestamp"])
     def test_samples_must_be_finite(self, samples):
         with pytest.raises(TraceError, match="finite"):
-            PowerTrace(samples=samples)
+            average_power(samples)
 
 
 class TestEcti:
@@ -89,7 +86,7 @@ class TestEcti:
                                image_count=10, achieved_accuracy=0.5)
         result = compute_ecti(meta, 0.01)
         assert not result.defined
-        assert result.value is None
+        assert select_model([result]) is None
         assert result.kwh_per_image == pytest.approx(0.001)  # raw figure still carried
 
     def test_unit_identity(self):
@@ -127,25 +124,31 @@ class TestEcti:
             compute_ecti(meta, kw)
 
 
+def ecti_results(candidates, q=0.7):
+    """EctiResults from (model_name, kwh_per_image, accuracy) triples, defined at q."""
+    return [EctiResult(model_name=name, kwh_per_image=kwh, defined=accuracy >= q,
+                       achieved_accuracy=accuracy)
+            for name, kwh, accuracy in candidates]
+
+
 class TestSelectModel:
     CANDIDATES = [("VGG16", 48.097e-6, 0.9893), ("ResNet50", 62.817e-6, 0.9279)]
 
     def test_picks_lowest_energy_qualifier(self):
-        assert select_model(self.CANDIDATES, 0.7) == "VGG16"
+        assert select_model(ecti_results(self.CANDIDATES)) == "VGG16"
 
     def test_single_candidate(self):
-        assert select_model([("only", 1.0, 0.8)], 0.7) == "only"
+        assert select_model(ecti_results([("only", 1.0, 0.8)])) == "only"
 
     def test_no_qualifier(self):
-        with pytest.raises(NoQualifyingModelError):
-            select_model([("a", 1.0, 0.5), ("b", 2.0, 0.6)], 0.7)
+        assert select_model(ecti_results([("a", 1.0, 0.5), ("b", 2.0, 0.6)])) is None
 
     def test_unqualified_low_energy_model_skipped(self):
         candidates = [("cheap", 1e-6, 0.2)] + self.CANDIDATES
-        assert select_model(candidates, 0.7) == "VGG16"
+        assert select_model(ecti_results(candidates)) == "VGG16"
 
     def test_tie_breaks_lexicographically(self):
-        assert select_model([("b", 1.0, 0.9), ("a", 1.0, 0.9)], 0.7) == "a"
+        assert select_model(ecti_results([("b", 1.0, 0.9), ("a", 1.0, 0.9)])) == "a"
 
     @given(
         candidates=st.lists(
@@ -155,7 +158,7 @@ class TestSelectModel:
         )
     )
     def test_winner_is_never_beaten(self, candidates):
-        winner = select_model(candidates, 0.7)
+        winner = select_model(ecti_results(candidates))
         winner_ecti = min(e for n, e, _ in candidates if n == winner)
         assert all(winner_ecti <= e for _, e, _ in candidates)
 
@@ -190,35 +193,32 @@ class TestLifespan:
 
 class TestThermalSummary:
     def test_training_deviation(self):
-        trace = ThermalTrace(samples=((0, 70.1), (30, 85.0), (60, 93.60), (90, 92.0)),
-                             baseline_temp=69.24)
-        summary = thermal_summary(trace)
-        assert summary.peak == pytest.approx(93.60)
-        assert summary.deviation_from_baseline == pytest.approx(24.36)
+        peak, _, deviation = thermal_summary(
+            [(0, 70.1), (30, 85.0), (60, 93.60), (90, 92.0)], 69.24)
+        assert peak == pytest.approx(93.60)
+        assert deviation == pytest.approx(24.36)
 
     def test_second_model_deviation(self):
-        trace = ThermalTrace(samples=((0, 80.0), (30, 93.72)), baseline_temp=69.24)
-        assert thermal_summary(trace).deviation_from_baseline == pytest.approx(24.48)
+        _, _, deviation = thermal_summary([(0, 80.0), (30, 93.72)], 69.24)
+        assert deviation == pytest.approx(24.48)
 
     def test_flat_trace(self):
-        trace = ThermalTrace(samples=((0, 69.24), (30, 69.24)), baseline_temp=69.24)
-        summary = thermal_summary(trace)
-        assert summary.deviation_from_baseline == 0.0
-        assert summary.mean == pytest.approx(69.24)
+        _, mean, deviation = thermal_summary([(0, 69.24), (30, 69.24)], 69.24)
+        assert deviation == 0.0
+        assert mean == pytest.approx(69.24)
 
     def test_plausibility_guard(self):
         with pytest.raises(TraceError):
-            ThermalTrace(samples=((0, 200.0),), baseline_temp=69.24)
+            thermal_summary([(0, 200.0)], 69.24)
 
     @pytest.mark.parametrize("baseline", [float("nan"), float("inf"), float("-inf")])
     def test_baseline_must_be_finite(self, baseline):
         with pytest.raises(TraceError, match="baseline temperature must be finite"):
-            ThermalTrace(samples=((0, 80.0),), baseline_temp=baseline)
+            thermal_summary([(0, 80.0)], baseline)
 
     def test_baseline_above_the_peak_rejected(self):
-        trace = ThermalTrace(samples=((0, 80.0), (30, 93.6)), baseline_temp=93.7)
         with pytest.raises(TraceError, match="above the trace peak"):
-            thermal_summary(trace)
+            thermal_summary([(0, 80.0), (30, 93.6)], 93.7)
 
 
 class TestFileFormats:
@@ -227,8 +227,8 @@ class TestFileFormats:
         assert average_power(trace) == pytest.approx(0.01063)
 
     def test_thermal_csv(self, fixtures_dir):
-        trace = load_thermal_csv(fixtures_dir / "vgg16_thermal.csv", 69.24)
-        assert thermal_summary(trace).peak == pytest.approx(93.60)
+        trace = load_thermal_csv(fixtures_dir / "vgg16_thermal.csv")
+        assert thermal_summary(trace, 69.24)[0] == pytest.approx(93.60)
 
     def test_meta_json(self, fixtures_dir):
         meta = load_run_meta(fixtures_dir / "vgg16_meta.json")
