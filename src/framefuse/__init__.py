@@ -8,15 +8,7 @@ reports are imported from their own modules (``framefuse.training``,
 them.
 """
 
-from .bayes import (
-    CategoryDistribution,
-    ClassifierProfile,
-    LabelSetMismatchError,
-    PosteriorState,
-    ScoreDomainError,
-    argmax_label,
-    chain_update,
-)
+from .bayes import ClassifierProfile, LabelSetMismatchError, ScoreDomainError, argmax_label
 from .pipeline import (
     OutOfOrderFrameError,
     StreamConfig,
@@ -24,7 +16,6 @@ from .pipeline import (
     StreamFold,
     StreamSchemaError,
     fold_lines,
-    process_stream,
 )
 
 __version__ = "0.1.0"

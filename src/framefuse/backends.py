@@ -177,9 +177,3 @@ class ExternalBackend:
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-
-    def __enter__(self) -> "ExternalBackend":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -8,7 +8,6 @@ Posteriors are deliberately NOT renormalized to sum to 1.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Mapping
 
 # Every category below this chained posterior marks the window degenerate.
@@ -157,12 +156,3 @@ def argmax_label(posteriors: Mapping[str, float]) -> tuple[str, float]:
         if value > best_value or (value == best_value and label < best_label):
             best_label, best_value = label, value
     return best_label, best_value
-
-
-def warn_if_window_too_long(capacity_n: int) -> None:
-    if capacity_n > MAX_RECOMMENDED_WINDOW:
-        warnings.warn(
-            f"frame window of {capacity_n} exceeds the recommended maximum of "
-            f"{MAX_RECOMMENDED_WINDOW}; chained posteriors are likely to collapse",
-            stacklevel=3,
-        )

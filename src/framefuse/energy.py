@@ -141,17 +141,23 @@ def _json_number(cell: str) -> float | None:
 
 
 def _load_two_column_csv(path: str, expected_header: tuple[str, str]) -> list[tuple[float, float]]:
+    """A UTF-8 trace's rows. Lines end at \\n, \\r\\n or \\r; a line that is not
+    UTF-8 is rejected by its number."""
+    with open(path, "rb") as handle:
+        lines = handle.read().splitlines() or [b""]
     rows = []
-    with open(path, newline="") as handle:
-        header = handle.readline().strip()
-        if tuple(header.split(",")) != expected_header:
-            raise TraceError(
-                f"{path}: expected header {','.join(expected_header)!r}, got {header!r}"
-            )
-        for line_number, line in enumerate(handle, start=2):
-            if not line.strip():
-                continue
-            cells = line.strip().split(",")
+    for line_number, raw in enumerate(lines, start=1):
+        try:
+            line = raw.decode().strip()
+        except UnicodeDecodeError as exc:
+            raise TraceError(f"{path}: line {line_number}: not UTF-8: {exc}") from exc
+        if line_number == 1:
+            if tuple(line.split(",")) != expected_header:
+                raise TraceError(
+                    f"{path}: expected header {','.join(expected_header)!r}, got {line!r}"
+                )
+        elif line:
+            cells = line.split(",")
             if len(cells) != 2:
                 raise TraceError(f"{path}: line {line_number}: expected 2 columns")
             row = tuple(map(_json_number, cells))

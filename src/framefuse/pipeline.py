@@ -10,18 +10,19 @@ from __future__ import annotations
 import json
 import math
 import operator
+import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 
 from .bayes import (
     DEGENERACY_EPSILON,
+    MAX_RECOMMENDED_WINDOW,
     CategoryDistribution,
     ClassifierProfile,
     argmax_label,
     chained_posteriors,
     check_scores,
-    warn_if_window_too_long,
 )
 
 DEFAULT_WINDOW = 3
@@ -44,7 +45,7 @@ class StreamEvent:
     """Per-frame output: the classifier's verdict and the temporal verdict.
 
     On a window's first frame ``tmav_scores`` is the same map object as
-    ``raw_scores``. Two events are equal when all their fields are.
+    ``raw_scores``.
     """
 
     __slots__ = ("frame_id", "raw_label", "raw_scores", "tmav_label", "tmav_scores",
@@ -62,20 +63,12 @@ class StreamEvent:
         self.wall_time = wall_time
         self.stream_id = stream_id
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __repr__(self) -> str:
-        return f"StreamEvent{self._values()!r}"
-
 
 class StreamConfig:
-    """How every stream folds: the classifier, the window, and the frame interval."""
+    """How every stream folds: the classifier, the window, and the frame interval.
+
+    A window longer than MAX_RECOMMENDED_WINDOW warns once, here.
+    """
 
     __slots__ = ("profile", "capacity_n", "auto_reset", "frame_interval_seconds", "stream_id")
 
@@ -84,6 +77,12 @@ class StreamConfig:
                  stream_id: str = ""):
         if capacity_n < 0:
             raise ValueError("capacity_n must be >= 0")
+        if capacity_n > MAX_RECOMMENDED_WINDOW:
+            warnings.warn(
+                f"frame window of {capacity_n} exceeds the recommended maximum of "
+                f"{MAX_RECOMMENDED_WINDOW}; chained posteriors are likely to collapse",
+                stacklevel=2,
+            )
         interval = frame_interval_seconds
         if interval is not None and not 0.0 < interval < math.inf:
             raise ValueError(f"frame interval must be finite and > 0, got {interval!r}")
@@ -105,7 +104,6 @@ class StreamFold:
     __slots__ = ("config", "stream_id", "posteriors", "steps", "last_frame_id", "frames_seen")
 
     def __init__(self, config: StreamConfig, stream_id: str = ""):
-        warn_if_window_too_long(config.capacity_n)
         self.config = config
         self.stream_id = stream_id
         self.posteriors: Mapping[str, float] = {}  # the chain; read only once steps > 0

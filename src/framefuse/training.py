@@ -122,16 +122,21 @@ def session_report(session: TrainingSession) -> dict:
 
 
 def load_manifest(path: Path) -> List[LabeledItem]:
-    """Read a path,label CSV manifest."""
-    with open(path, newline="") as handle:
+    """Read a UTF-8 path,label CSV manifest. A file that is not UTF-8, or
+    that the csv reader refuses (a cell over its field limit), is a
+    ManifestError naming the file."""
+    items: List[LabeledItem] = []
+    with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.DictReader(handle)
-        if reader.fieldnames is None or not {"path", "label"} <= set(reader.fieldnames):
-            raise ManifestError(f"{path}: manifest must have columns path,label")
-        items: List[LabeledItem] = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row.get("path") or not row.get("label"):
-                raise ManifestError(f"{path}: row {row_number} missing path or label")
-            items.append((row["path"], row["label"]))
+        try:
+            if reader.fieldnames is None or not {"path", "label"} <= set(reader.fieldnames):
+                raise ManifestError(f"{path}: manifest must have columns path,label")
+            for row_number, row in enumerate(reader, start=2):
+                if not row.get("path") or not row.get("label"):
+                    raise ManifestError(f"{path}: row {row_number} missing path or label")
+                items.append((row["path"], row["label"]))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ManifestError(f"{path}: {exc}") from exc
     if not items:
         raise ManifestError(f"{path}: manifest is empty")
     return items

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from framefuse.bayes import CategoryDistribution, ClassifierProfile
+from framefuse.bayes import ClassifierProfile
+from framefuse.pipeline import StreamFold
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -37,11 +38,11 @@ TABLE2_RAW_LABELS = ["Obstruction", "No-Obstruction", "Obstruction"]
 TABLE2_P_CNN = 0.7250
 
 
-def make_frames(score_maps, start_id=1):
-    return [
-        CategoryDistribution(frame_id=start_id + i, scores=scores)
-        for i, scores in enumerate(score_maps)
-    ]
+def fold_stream(score_maps, config, start_id=1):
+    """Fold one stream's score maps through StreamFold.fold, the call predict-stream
+    makes per frame, with frame_ids counting up from start_id."""
+    fold = StreamFold(config)
+    return [fold.fold(start_id + i, scores) for i, scores in enumerate(score_maps)]
 
 
 def oracle_fold(score_maps, p_cnn):

@@ -9,9 +9,9 @@ import time
 import pytest
 
 from framefuse.backends import MemorizingBackend
-from framefuse.bayes import CategoryDistribution, ClassifierProfile
+from framefuse.bayes import ClassifierProfile
 from framefuse.energy import TrainingRunMeta, compute_ecti, lifespan_reduction, select_model
-from framefuse.pipeline import StreamConfig, process_stream
+from framefuse.pipeline import StreamConfig
 from framefuse.training import Phase, TrainingSession, run_session
 
 from conftest import (
@@ -21,7 +21,7 @@ from conftest import (
     TABLE2_EXPECTED,
     TABLE2_FRAMES,
     TABLE2_P_CNN,
-    make_frames,
+    fold_stream,
     oracle_fold,
 )
 from scripted_backend import ScriptedAccuracyBackend
@@ -38,7 +38,7 @@ def continuous(p_cnn):
 
 def test_traffic_table_reproduction():
     started = time.perf_counter()
-    events = process_stream(make_frames(TABLE1_FRAMES), continuous(TABLE1_P_CNN))
+    events = fold_stream(TABLE1_FRAMES, continuous(TABLE1_P_CNN))
     elapsed = time.perf_counter() - started
     for event, expected in zip(events, TABLE1_EXPECTED):
         for label, value in expected.items():
@@ -50,7 +50,7 @@ def test_traffic_table_reproduction():
 
 def test_pedestrian_table_reproduction():
     started = time.perf_counter()
-    events = process_stream(make_frames(TABLE2_FRAMES), continuous(TABLE2_P_CNN))
+    events = fold_stream(TABLE2_FRAMES, continuous(TABLE2_P_CNN))
     elapsed = time.perf_counter() - started
     for event, expected in zip(events, TABLE2_EXPECTED):
         for label, value in expected.items():
@@ -91,7 +91,7 @@ def test_degeneracy_collapse():
     # of the third. All posteriors fall below 1e-4 within 8 update steps
     # (event index 8) and the pipeline flags the collapse.
     score_maps = TABLE1_FRAMES + [TABLE1_FRAMES[2]] * 6
-    events = process_stream(make_frames(score_maps), continuous(TABLE1_P_CNN))
+    events = fold_stream(score_maps, continuous(TABLE1_P_CNN))
     degenerate_indexes = [i for i, e in enumerate(events) if e.degenerate]
     assert degenerate_indexes and degenerate_indexes[0] <= 8
     first = degenerate_indexes[0]
@@ -108,8 +108,8 @@ def test_degeneracy_collapse():
             {label: rng.uniform(0.0, p_cnn) for label in labels} for _ in range(length)
         ]
         chain = oracle_fold(score_maps, p_cnn)
-        events = process_stream(
-            make_frames(score_maps),
+        events = fold_stream(
+            score_maps,
             StreamConfig(profile=ClassifierProfile(model_name="m", p_cnn=p_cnn),
                          auto_reset=False),
         )
@@ -140,8 +140,8 @@ def test_oracle_equivalence():
         score_maps = [
             {label: rng.random() for label in labels} for _ in range(length)
         ]
-        events = process_stream(
-            make_frames(score_maps),
+        events = fold_stream(
+            score_maps,
             StreamConfig(profile=ClassifierProfile(model_name="m", p_cnn=p_cnn),
                          auto_reset=False),
         )

@@ -23,7 +23,6 @@ from conftest import (
     TABLE1_EXPECTED,
     TABLE1_FRAMES,
     TABLE1_P_CNN,
-    make_frames,
     oracle_fold,
 )
 
@@ -83,6 +82,11 @@ class TestUpdatePosterior:
     def test_monotone_decay_when_accuracy_dominates(self, prior, current, p_cnn):
         assume(p_cnn >= current)
         assert update(prior, current, p_cnn) < prior
+
+
+def make_frames(score_maps):
+    return [CategoryDistribution(frame_id=1 + i, scores=scores)
+            for i, scores in enumerate(score_maps)]
 
 
 class TestChainUpdate:

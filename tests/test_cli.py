@@ -5,6 +5,7 @@ import os
 import select
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -14,11 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import framefuse
-from framefuse.bayes import ClassifierProfile
 from framefuse.cli import build_parser, main
-from framefuse.pipeline import StreamConfig, events_to_jsonl, process_stream, read_frame_streams
 
-from conftest import TABLE1_FRAMES, TABLE2_FRAMES, make_frames
+from conftest import TABLE1_FRAMES, TABLE2_FRAMES
+from stream_oracle import expected_output
 
 FAKE_BACKEND = Path(__file__).resolve().parent / "fake_backend.py"
 
@@ -111,14 +111,11 @@ class TestPredictStream:
             "--output", str(out), "--p-cnn", "0.9893", "--window", "3",
         )
         cli_events = [json.loads(line) for line in out.read_text().splitlines()]
-        frames = read_frame_streams(
-            (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()
-        )["ucsd-traffic"]
-        profile = ClassifierProfile(model_name="classifier", p_cnn=0.9893)
-        direct = process_stream(frames, StreamConfig(profile=profile, capacity_n=3,
-                                                     stream_id="ucsd-traffic"))
-        assert [e["tmav_scores"] for e in cli_events] == [e.tmav_scores for e in direct]
-        assert [e["frame_id"] for e in cli_events] == [e.frame_id for e in direct]
+        lines = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()
+        direct = [json.loads(line) for line in
+                  expected_output(lines, p_cnn=0.9893, window=3).splitlines()]
+        assert [e["tmav_scores"] for e in cli_events] == [e["tmav_scores"] for e in direct]
+        assert [e["frame_id"] for e in cli_events] == [e["frame_id"] for e in direct]
 
 
 def frame_line(stream_id, frame_id, scores):
@@ -195,25 +192,21 @@ def fuzzed_inputs(draw):
 
 class TestStreaming:
     def test_interleaved_streams_emit_in_input_order(self, tmp_path):
-        frames = {"cam-a": make_frames(TABLE1_FRAMES), "cam-b": make_frames(TABLE2_FRAMES)}
+        frames = {"cam-a": TABLE1_FRAMES, "cam-b": TABLE2_FRAMES}
         order = [("cam-a", 0), ("cam-b", 0), ("cam-b", 1), ("cam-a", 1), ("cam-a", 2),
                  ("cam-b", 2)]
         src = tmp_path / "frames.jsonl"
-        src.write_text("".join(
-            frame_line(sid, frames[sid][i].frame_id, frames[sid][i].scores) + "\n"
-            for sid, i in order
-        ))
+        src.write_text("".join(frame_line(sid, i + 1, frames[sid][i]) + "\n" for sid, i in order))
         out = tmp_path / "events.jsonl"
         assert run_cli("predict-stream", "--input", str(src), "--output", str(out)) == 0
         lines = out.read_text().splitlines(keepends=True)
         assert [(json.loads(l)["stream_id"], json.loads(l)["frame_id"]) for l in lines] == [
-            (sid, frames[sid][i].frame_id) for sid, i in order
+            (sid, i + 1) for sid, i in order
         ]
-        profile = ClassifierProfile(model_name="classifier", p_cnn=0.9893)
         for sid, stream_frames in frames.items():
-            alone = process_stream(stream_frames, StreamConfig(profile=profile, stream_id=sid))
+            alone = [frame_line(sid, i + 1, scores) for i, scores in enumerate(stream_frames)]
             mine = "".join(l for l in lines if json.loads(l)["stream_id"] == sid)
-            assert mine == events_to_jsonl(alone)
+            assert mine == expected_output(alone).decode()
 
     @pytest.mark.parametrize("bad_line", [
         frame_line("s", 1, {"a": 0.5, "b": 0.5}),  # frame_id not after 2
@@ -345,6 +338,60 @@ class TestFuzz:
             assert code in (0, 2)
         else:
             assert code == (0 if verdict else 2)
+
+
+# Labels with non-ASCII text, "%" (the encoder's template character), and the
+# characters JSON and CSV quote.
+oracle_labels = st.text(alphabet=st.sampled_from('ab%é日🎥",\\'), max_size=3)
+# Mostly scores that keep a chain alive for a window or more; now and then 0
+# or 1 written as a JSON integer, or a near-zero score that collapses the chain.
+# Exact ties come from repeats.
+oracle_scores = st.one_of(
+    st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(0.05, 1.0),
+    st.sampled_from([0, 1, 0.5, 0.25, 1e-3, 1e-5, 1e-9, 5e-324]) | st.floats(0.0, 1.0),
+)
+
+
+@st.composite
+def oracle_streams(draw):
+    """Frame lines from 1-6 interleaved streams, each with gaps in its frame_ids
+    and all with one label set."""
+    labels = draw(st.lists(oracle_labels, min_size=1, max_size=5, unique=True))
+    stream_ids = draw(st.lists(oracle_labels, min_size=1, max_size=6, unique=True))
+    next_id = {stream_id: draw(st.integers(-2, 2)) for stream_id in stream_ids}
+    rows = st.lists(oracle_scores, min_size=len(labels), max_size=len(labels))
+    tied_rows = oracle_scores.map(lambda score: [score] * len(labels))
+    lines = []
+    for _ in range(draw(st.integers(0, 40))):
+        stream_id = draw(st.sampled_from(stream_ids))
+        frame_id = next_id[stream_id]
+        next_id[stream_id] += draw(st.integers(1, 3))
+        scores = dict(zip(labels, draw(rows | tied_rows)))
+        lines.append(json.dumps({"stream_id": stream_id, "frame_id": frame_id, "scores": scores},
+                                ensure_ascii=draw(st.booleans())))
+    return lines
+
+
+class TestByteOracle:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(lines=oracle_streams(), window=st.integers(0, 8), auto_reset=st.booleans(),
+           interval=st.sampled_from([None, "0.04", repr(1 / 3)]),
+           p_cnn=st.floats(0.01, 1.0) | st.just(1.0), fmt=st.sampled_from(["jsonl", "csv"]))
+    def test_output_bytes_match_the_oracle(self, lines, window, auto_reset, interval, p_cnn,
+                                           fmt, tmp_path):
+        src, out = tmp_path / "frames.jsonl", tmp_path / "events"
+        src.write_text("".join(line + "\n" for line in lines))
+        argv = ["predict-stream", "--input", str(src), "--output", str(out), "--format", fmt,
+                "--window", str(window), "--p-cnn", repr(p_cnn),
+                "--auto-reset" if auto_reset else "--no-auto-reset"]
+        if interval is not None:
+            argv += ["--frame-interval", interval]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # --window 8 warns
+            assert main(argv) == 0
+        assert out.read_bytes() == expected_output(
+            lines, fmt, p_cnn, window, auto_reset, None if interval is None else float(interval))
 
 
 VALID_META = {"model": "m", "duration_s": 5864, "image_count": 360, "accuracy": 0.9, "q": 0.7}
@@ -607,7 +654,62 @@ class TestEnvFallbacks:
         assert args.auto_reset is auto_reset
 
 
+# Manifest headers: the right one, in another order or with an extra column,
+# misnamed, missing (a data row in its place), empty, or after a BOM.
+MANIFEST_HEADERS = ["path,label", "label,path", "path,label,extra", "path", "file,cat",
+                    "a.jpg,Fluid", "", "\ufeffpath,label"]
+# Manifest cells next to the CSV rules: empty, quoted, holding a comma, a quote or
+# "\r", and one longer than the csv module's field limit.
+MANIFEST_EDGES = ["", " ", '"', '""', '"a,b"', "a,b", 'a"b', "a\rb", "\r", '"x\r\ny"', "\ufeff",
+                  "x" * 131_073]
+plain_cells = st.sampled_from(["a.jpg", "b.jpg", "c.jpg", "Fluid", "Jam", "é"])
+edge_cells = st.sampled_from(MANIFEST_EDGES) | st.text(max_size=4)
+
+
+@st.composite
+def manifest_files(draw):
+    """The bytes of a manifest: a path,label header and rows of a path and a label,
+    each drawn from a few plain cells. Now and then the header is another, a row
+    has an edge cell in place of a plain one or a third cell, or a byte is not UTF-8."""
+    header = MANIFEST_HEADERS[0]
+    if draw(st.integers(0, 4)) == 0:
+        header = draw(st.sampled_from(MANIFEST_HEADERS))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = [draw(plain_cells), draw(plain_cells)]
+        if draw(st.integers(0, 5)) == 0:
+            cells.insert(draw(st.integers(0, 2)), draw(edge_cells))
+            if draw(st.booleans()):
+                cells.pop(draw(st.integers(0, 2)))
+        rows.append(",".join(cells))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    data = ending.join([header, *rows]).encode()
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
 class TestTrain:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(offline=manifest_files(), crossval=manifest_files())
+    def test_any_manifest_exits_with_a_report_or_schema(self, offline, crossval, tmp_path,
+                                                        capsys):
+        paths = tmp_path / "offline.csv", tmp_path / "crossval.csv"
+        paths[0].write_bytes(offline)
+        paths[1].write_bytes(crossval)
+        code = run_cli("train", "--offline-manifest", str(paths[0]),
+                       "--crossval-manifest", str(paths[1]), "--backend", "synthetic",
+                       "--output", "-")
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.err.startswith("error: ") and captured.out == ""
+        else:
+            assert code in (0, 3)
+            report = json.loads(captured.out, parse_constant=reject_constant)
+            assert report["quality_met"] is (code == 0)
+
     @pytest.fixture
     def manifests(self, tmp_path):
         labels = ["Empty", "Fluid", "Heavy", "Jam"]
@@ -775,9 +877,20 @@ def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys)
      "underscore.csv: line 2: '7_0' is not a JSON number"),
     ("ecti", ["--run", "{fixtures}/vgg16_meta.json,{fixtures}/vgg16_power.csv", "--q", "1.5"], 2,
      "q_threshold"),
+    ("thermal", ["--trace", "{tmp}/not-utf8.csv", "--baseline-temp", "69.24"], 2,
+     "not-utf8.csv: line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("ecti", ["--run", "{fixtures}/vgg16_meta.json,{tmp}/not-utf8-power.csv"], 2,
+     "not-utf8-power.csv: line 2: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
+    ("train", ["--offline-manifest", "{tmp}/manifest.csv", "--crossval-manifest",
+               "{tmp}/not-utf8-manifest.csv"], 2,
+     "not-utf8-manifest.csv: 'utf-8' codec can't decode byte 0xff"),
+    ("train", ["--offline-manifest", "{tmp}/wide-manifest.csv", "--crossval-manifest",
+               "{tmp}/manifest.csv"], 2, "wide-manifest.csv: field larger than field limit"),
 ], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
         "train-missing", "train-deep-reply", "thermal-missing", "ecti-meta-not-json",
-        "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1"])
+        "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1",
+        "thermal-trace-not-utf8", "ecti-power-trace-not-utf8", "train-manifest-not-utf8",
+        "train-manifest-cell-over-csv-limit"])
 def test_bad_input_exits_its_code_without_traceback(command, argv, code, message, fixtures_dir,
                                                     tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "\n")
@@ -787,6 +900,10 @@ def test_bad_input_exits_its_code_without_traceback(command, argv, code, message
     (tmp_path / "huge.json").write_text(
         f'{{"model": "m", "duration_s": {10**400}, "image_count": 360, "accuracy": 0.9}}')
     (tmp_path / "manifest.csv").write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
+    (tmp_path / "not-utf8.csv").write_bytes(b"timestamp_s,celsius\n0,69.5\n1,7\xff0\n")
+    (tmp_path / "not-utf8-power.csv").write_bytes(b"timestamp_s,watts\n0,1\xff\n1,10\n")
+    (tmp_path / "not-utf8-manifest.csv").write_bytes(b"path,label\na.jpg,Fl\xffuid\n")
+    (tmp_path / "wide-manifest.csv").write_text("path,label\na.jpg," + "x" * 200_000 + "\n")
     argv = [arg.format(tmp=tmp_path, fixtures=fixtures_dir) for arg in argv]
     env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
     env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])

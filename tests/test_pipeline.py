@@ -1,19 +1,20 @@
 import json
+import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from framefuse.bayes import CategoryDistribution, ClassifierProfile
+from framefuse.bayes import ClassifierProfile
 from framefuse.cli import main
 from framefuse.pipeline import (
     OutOfOrderFrameError,
     StreamConfig,
     StreamEvent,
+    StreamFold,
     StreamSchemaError,
     event_to_json,
-    events_to_jsonl,
-    process_stream,
+    fold_lines,
     read_frame_streams,
 )
 
@@ -26,7 +27,7 @@ from conftest import (
     TABLE2_FRAMES,
     TABLE2_RAW_LABELS,
     event_to_dict,
-    make_frames,
+    fold_stream,
     oracle_fold,
 )
 
@@ -45,7 +46,7 @@ def continuous(profile, **kwargs):
 
 class TestTableStreams:
     def test_traffic_stream(self, traffic_profile):
-        events = process_stream(make_frames(TABLE1_FRAMES), continuous(traffic_profile))
+        events = fold_stream(TABLE1_FRAMES, continuous(traffic_profile))
         assert [e.raw_label for e in events] == TABLE1_RAW_LABELS
         assert [e.tmav_label for e in events] == ["Fluid", "Fluid", "Fluid"]
         for event, expected in zip(events, TABLE1_EXPECTED):
@@ -53,7 +54,7 @@ class TestTableStreams:
                 assert event.tmav_scores[label] == pytest.approx(value, abs=1e-4)
 
     def test_pedestrian_stream(self, pedestrian_profile):
-        events = process_stream(make_frames(TABLE2_FRAMES), continuous(pedestrian_profile))
+        events = fold_stream(TABLE2_FRAMES, continuous(pedestrian_profile))
         assert [e.raw_label for e in events] == TABLE2_RAW_LABELS
         assert [e.tmav_label for e in events] == ["Obstruction"] * 3
         for event, expected in zip(events, TABLE2_EXPECTED):
@@ -61,7 +62,7 @@ class TestTableStreams:
                 assert event.tmav_scores[label] == pytest.approx(value, abs=1e-4)
 
     def test_single_frame_verdicts_agree(self, traffic_profile):
-        events = process_stream(make_frames(TABLE1_FRAMES[:1]), continuous(traffic_profile))
+        events = fold_stream(TABLE1_FRAMES[:1], continuous(traffic_profile))
         assert len(events) == 1
         assert events[0].tmav_scores is events[0].raw_scores
         assert events[0].tmav_label == events[0].raw_label
@@ -70,16 +71,16 @@ class TestTableStreams:
 class TestWindowMechanics:
     def test_out_of_order_rejected(self, traffic_profile):
         # a one-frame window restarts the chain in between; the watermark survives
-        frame = make_frames(TABLE1_FRAMES)[0]
+        fold = StreamFold(StreamConfig(profile=traffic_profile, capacity_n=1))
+        fold.fold(1, TABLE1_FRAMES[0])
         with pytest.raises(OutOfOrderFrameError):
-            process_stream([frame, frame], StreamConfig(profile=traffic_profile, capacity_n=1))
+            fold.fold(1, TABLE1_FRAMES[0])
 
     def test_reset_then_replay_reproduces_table(self, traffic_profile):
         # two full uniform windows, then Table 1 opens the third window
-        uniform = make_frames([{l: 0.25 for l in TABLE1_FRAMES[0]}] * 6)
-        table = make_frames(TABLE1_FRAMES, start_id=7)
-        events = process_stream(
-            uniform + table, StreamConfig(profile=traffic_profile, capacity_n=3)
+        uniform = [{l: 0.25 for l in TABLE1_FRAMES[0]}] * 6
+        events = fold_stream(
+            uniform + TABLE1_FRAMES, StreamConfig(profile=traffic_profile, capacity_n=3)
         )
         for event, expected in zip(events[6:], TABLE1_EXPECTED):
             for label, value in expected.items():
@@ -87,12 +88,24 @@ class TestWindowMechanics:
 
     def test_long_window_warns(self, traffic_profile):
         with pytest.warns(UserWarning):
-            process_stream([], StreamConfig(profile=traffic_profile, capacity_n=8))
+            fold_stream([], StreamConfig(profile=traffic_profile, capacity_n=8))
+
+    def test_long_window_warns_once_for_all_streams(self, traffic_profile):
+        lines = [b'{"stream_id": "cam-%d", "frame_id": 1, "scores": {"a": 0.5}}' % i
+                 for i in range(50)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            events = list(fold_lines(lines, StreamConfig(profile=traffic_profile, capacity_n=8)))
+        assert len(events) == 50
+        assert [str(w.message) for w in caught] == [
+            "frame window of 8 exceeds the recommended maximum of 7; "
+            "chained posteriors are likely to collapse"
+        ]
 
     def test_tumbling_reset_restarts_chain(self, traffic_profile):
-        frames = make_frames([{"a": 0.6, "b": 0.4}] * 6)
-        events = process_stream(
-            frames, StreamConfig(profile=traffic_profile, capacity_n=3, auto_reset=True)
+        events = fold_stream(
+            [{"a": 0.6, "b": 0.4}] * 6,
+            StreamConfig(profile=traffic_profile, capacity_n=3, auto_reset=True),
         )
         # fourth frame opens a fresh window: integrated verdict == raw verdict
         assert events[3].tmav_scores == events[3].raw_scores
@@ -107,13 +120,13 @@ class TestWindowMechanics:
         first_degenerate = next(
             i for i, row in enumerate(chain) if max(row.values()) < 1e-4
         )
-        events = process_stream(make_frames(score_maps), continuous(profile))
+        events = fold_stream(score_maps, continuous(profile))
         assert all(value < 1e-4 for value in events[-1].tmav_scores.values())
         degenerate_indexes = [i for i, e in enumerate(events) if e.degenerate]
         assert degenerate_indexes[0] == first_degenerate
         # safety reset: with auto_reset on, the chain recovers after collapse
-        reset_events = process_stream(
-            make_frames(score_maps),
+        reset_events = fold_stream(
+            score_maps,
             StreamConfig(profile=profile, capacity_n=0, auto_reset=True),
         )
         assert reset_events[first_degenerate + 1].tmav_scores == score_maps[0]
@@ -130,7 +143,7 @@ class TestOracleAndDeterminism:
         labels = ["x", "y"]
         score_maps = [dict(zip(labels, row)) for row in data]
         profile = ClassifierProfile(model_name="m", p_cnn=p_cnn)
-        events = process_stream(make_frames(score_maps), continuous(profile))
+        events = fold_stream(score_maps, continuous(profile))
         expected = oracle_fold(score_maps, p_cnn)
         assert len(events) == len(score_maps)
         assert [e.frame_id for e in events] == sorted(e.frame_id for e in events)
@@ -139,33 +152,23 @@ class TestOracleAndDeterminism:
                 assert event.tmav_scores[label] == pytest.approx(row[label], abs=1e-12)
 
     def test_determinism(self, traffic_profile):
-        frames = make_frames(TABLE1_FRAMES)
         config = StreamConfig(profile=traffic_profile, frame_interval_seconds=1.3)
-        assert process_stream(frames, config) == process_stream(frames, config)
 
-    def test_events_differing_in_one_field_are_unequal(self):
-        fields = dict(frame_id=1, raw_label="a", raw_scores={"a": 1.0}, tmav_label="a",
-                      tmav_scores={"a": 1.0}, degenerate=False, wall_time=None, stream_id="s")
-        event = StreamEvent(**fields)
-        assert event == StreamEvent(**fields)
-        for name, other in [("frame_id", 2), ("tmav_scores", {"a": 0.5}), ("wall_time", 0.0),
-                            ("stream_id", "t")]:
-            assert event != StreamEvent(**{**fields, name: other}), name
+        def encoded():
+            return "".join(map(event_to_json, fold_stream(TABLE1_FRAMES, config)))
+
+        assert encoded() == encoded()
 
     def test_empty_stream(self, traffic_profile):
-        assert process_stream([], continuous(traffic_profile)) == []
+        assert fold_stream([], continuous(traffic_profile)) == []
 
 
 class TestWireFormats:
     def test_jsonl_round_trip(self, traffic_profile, fixtures_dir):
-        lines = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()
-        streams = read_frame_streams(lines)
-        assert list(streams) == ["ucsd-traffic"]
-        events = process_stream(
-            streams["ucsd-traffic"],
-            continuous(traffic_profile, stream_id="ucsd-traffic"),
-        )
-        parsed = [json.loads(line) for line in events_to_jsonl(events).splitlines()]
+        lines = (fixtures_dir / "table1_traffic.jsonl").read_bytes().splitlines()
+        events = list(fold_lines(lines, continuous(traffic_profile)))
+        assert {e.stream_id for e in events} == {"ucsd-traffic"}
+        parsed = [json.loads(event_to_json(e)) for e in events]
         assert [p["tmav_label"] for p in parsed] == ["Fluid"] * 3
         assert parsed[0]["stream_id"] == "ucsd-traffic"
         assert parsed == [event_to_dict(e) for e in events]
@@ -214,9 +217,8 @@ class TestWireFormats:
             read_frame_streams([record])
 
     def test_wall_time_from_frame_interval(self, traffic_profile):
-        events = process_stream(
-            make_frames(TABLE1_FRAMES),
-            continuous(traffic_profile, frame_interval_seconds=1.3),
+        events = fold_stream(
+            TABLE1_FRAMES, continuous(traffic_profile, frame_interval_seconds=1.3)
         )
         assert [e.wall_time for e in events] == [0.0, 1.3, 2.6]
 

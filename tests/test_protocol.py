@@ -1,4 +1,5 @@
 import json
+from contextlib import closing
 import signal
 import subprocess
 import sys
@@ -39,19 +40,19 @@ class TestCheckScores:
 
 class TestExternalBackend:
     def test_handshake_and_predict(self):
-        with ExternalBackend(backend_command()) as backend:
+        with closing(ExternalBackend(backend_command())) as backend:
             backend.train([("a.jpg", "Fluid")])
             scores = backend.predict("a.jpg")
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
             assert max(scores, key=scores.get) == "Fluid"
 
     def test_predict_is_deterministic_between_trains(self):
-        with ExternalBackend(backend_command()) as backend:
+        with closing(ExternalBackend(backend_command())) as backend:
             backend.train([("a.jpg", "Jam")])
             assert backend.predict("a.jpg") == backend.predict("a.jpg")
 
     def test_empty_train_is_acknowledged_noop(self):
-        with ExternalBackend(backend_command()) as backend:
+        with closing(ExternalBackend(backend_command())) as backend:
             assert backend.train([]) == 0
 
     def test_version_mismatch_rejected(self):
@@ -59,7 +60,7 @@ class TestExternalBackend:
             ExternalBackend(backend_command("--bad-hello"))
 
     def test_nan_score_is_a_protocol_error(self):
-        with ExternalBackend(backend_command("--nan")) as backend:
+        with closing(ExternalBackend(backend_command("--nan"))) as backend:
             with pytest.raises(ProtocolError, match="not a number"):
                 backend.predict("a.jpg")
 
@@ -69,7 +70,7 @@ class TestExternalBackend:
         ("--deep-reply", "nested too deep"),
     ])
     def test_reply_that_is_not_a_utf8_json_object_is_a_protocol_error(self, flag, message):
-        with ExternalBackend(backend_command(flag)) as backend:
+        with closing(ExternalBackend(backend_command(flag))) as backend:
             with pytest.raises(ProtocolError, match=message):
                 backend.predict("a.jpg")
 
@@ -83,7 +84,7 @@ class TestExternalBackend:
             ExternalBackend(command)
 
     def test_reply_lacking_a_manifest_label_is_a_protocol_error(self):
-        with ExternalBackend(backend_command("--foreign"), ["Fluid", "Jam"]) as backend:
+        with closing(ExternalBackend(backend_command("--foreign"), ["Fluid", "Jam"])) as backend:
             with pytest.raises(ProtocolError, match="lacks labels"):
                 backend.predict("a.jpg")
 
@@ -106,7 +107,7 @@ class TestExternalBackend:
         items = [(f"img{i}.jpg", label) for i, label in
                  enumerate(["Empty", "Fluid", "Heavy", "Jam"] * 5)]
         session = TrainingSession(offline_set=items, crossval_set=items)
-        with ExternalBackend(backend_command()) as backend:
+        with closing(ExternalBackend(backend_command())) as backend:
             run_session(session, backend)
         assert session.quality_met is True
         assert session.final_accuracy == 1.0
