@@ -1,11 +1,7 @@
 """Command-line surface: stream prediction, training, energy and thermal reports.
 
 Exit codes: 0 success, 2 schema/input error, 3 quality-not-met, 4 backend
-failure. Some flags fall back to a FRAMEFUSE_* environment variable:
-FRAMEFUSE_OUTPUT (every command), FRAMEFUSE_INPUT, FRAMEFUSE_WINDOW,
-FRAMEFUSE_P_CNN, FRAMEFUSE_FORMAT and FRAMEFUSE_AUTO_RESET (predict-stream),
-FRAMEFUSE_BACKEND and FRAMEFUSE_Q (train); no other flag has one. A
-fallback that is not one of its flag's values is a usage error. Each
+failure. Every setting is a flag; no environment variable is read. Each
 command imports the modules it needs when it runs, so predict-stream loads
 only the stream core.
 """
@@ -18,6 +14,7 @@ import io
 import json
 import os
 import sys
+import warnings
 from collections.abc import Iterator, Sequence
 
 from . import pipeline
@@ -29,35 +26,6 @@ EXIT_QUALITY_NOT_MET = 3
 EXIT_BACKEND = 4
 
 
-FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
-              "0": False, "false": False, "no": False, "off": False}
-
-
-class _BadFallback:
-    """Stands in for a flag whose FRAMEFUSE_* fallback is not one of the flag's
-    values; main() reports it as a usage error when the flag is not given."""
-
-    def __init__(self, name: str, raw: str, allowed: Sequence[str]):
-        self.message = f"FRAMEFUSE_{name}={raw!r} is not one of {'/'.join(allowed)}"
-
-
-def _env(name: str, fallback=None):
-    return os.environ.get(f"FRAMEFUSE_{name}", fallback)
-
-
-def _env_choice(name: str, choices: Sequence[str], fallback: str):
-    raw = _env(name, fallback)
-    return raw if raw in choices else _BadFallback(name, raw, choices)
-
-
-def _env_flag(name: str, fallback: bool):
-    raw = _env(name)
-    if raw is None:
-        return fallback
-    value = FLAG_WORDS.get(raw.strip().lower())
-    return _BadFallback(name, raw, FLAG_WORDS) if value is None else value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="framefuse",
@@ -67,40 +35,36 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     predict = sub.add_parser("predict-stream", help="run frame JSONL through the Bayes window")
-    predict.add_argument("--input", default=_env("INPUT", "-"), help="frame JSONL path or - for stdin")
-    predict.add_argument("--output", default=_env("OUTPUT", "-"), help="output path or - for stdout")
-    predict.add_argument("--window", type=int, default=_env("WINDOW", "3"))
-    predict.add_argument("--p-cnn", type=float, default=_env("P_CNN", "0.9893"))
-    formats = ("jsonl", "csv")
-    predict.add_argument("--format", choices=formats,
-                         default=_env_choice("FORMAT", formats, "jsonl"))
+    predict.add_argument("--input", default="-", help="frame JSONL path or - for stdin")
+    predict.add_argument("--output", default="-", help="output path or - for stdout")
+    predict.add_argument("--window", type=int, default=pipeline.DEFAULT_WINDOW)
+    predict.add_argument("--p-cnn", type=float, default=0.9893)
+    predict.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     predict.add_argument("--frame-interval", type=float, default=None,
                          help="seconds between frames (finite, > 0), reported as event wall_time")
     reset = predict.add_mutually_exclusive_group()
-    reset.add_argument("--auto-reset", dest="auto_reset", action="store_true",
-                       default=_env_flag("AUTO_RESET", True))
+    reset.add_argument("--auto-reset", dest="auto_reset", action="store_true", default=True)
     reset.add_argument("--no-auto-reset", dest="auto_reset", action="store_false")
 
     train = sub.add_parser("train", help="run the hybrid training loop")
     train.add_argument("--offline-manifest", required=True, help="path,label CSV for offline training")
     train.add_argument("--crossval-manifest", required=True, help="path,label CSV for cross-validation")
-    train.add_argument("--backend", default=_env("BACKEND", "synthetic"),
-                       help="'synthetic' or 'external:<command>'")
-    train.add_argument("--q", type=float, default=_env("Q", DEFAULT_Q))
+    train.add_argument("--backend", default="synthetic", help="'synthetic' or 'external:<command>'")
+    train.add_argument("--q", type=float, default=DEFAULT_Q)
     train.add_argument("--max-retrain-rounds", type=int, default=1)
-    train.add_argument("--output", default=_env("OUTPUT", "-"), help="report JSON path or -")
+    train.add_argument("--output", default="-", help="report JSON path or -")
 
     ecti = sub.add_parser("ecti", help="energy per training image, per model")
     ecti.add_argument("--run", action="append", required=True, metavar="META.json,POWER.csv",
                       help="meta JSON and power CSV pair; repeatable")
     ecti.add_argument("--q", type=float, default=None, help="override the quality threshold")
-    ecti.add_argument("--output", default=_env("OUTPUT", "-"))
+    ecti.add_argument("--output", default="-")
 
     thermal = sub.add_parser("thermal", help="thermal summary and lifespan projection")
     thermal.add_argument("--trace", required=True, help="timestamp_s,celsius CSV")
     thermal.add_argument("--baseline-temp", type=float, required=True,
                          help="idle operating temperature in C")
-    thermal.add_argument("--output", default=_env("OUTPUT", "-"))
+    thermal.add_argument("--output", default="-")
     return parser
 
 
@@ -160,12 +124,15 @@ def _read_lines(source, before_read) -> Iterator[bytes]:
 def cmd_predict_stream(args: argparse.Namespace) -> int:
     """Fold frames line by line; the events of one input read leave in one write."""
     profile = ClassifierProfile(model_name="classifier", p_cnn=args.p_cnn)
-    config = pipeline.StreamConfig(
-        profile=profile,
-        capacity_n=args.window,
-        auto_reset=args.auto_reset,
-        frame_interval_seconds=args.frame_interval,
-    )
+    with warnings.catch_warnings(record=True) as caught:  # a long window warns
+        config = pipeline.StreamConfig(
+            profile=profile,
+            capacity_n=args.window,
+            auto_reset=args.auto_reset,
+            frame_interval_seconds=args.frame_interval,
+        )
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     with _open_binary(args.input, "rb") as source, _open_binary(args.output, "wb") as sink:
         batch = _Batch()
 
@@ -279,11 +246,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     """Run one command. An input or output error exits 2; only train maps
     its backend's failure (exit 4) itself. A reader that closes the output
     pipe chose to stop: that exits 0, silently."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    for value in vars(args).values():
-        if isinstance(value, _BadFallback):
-            parser.error(value.message)
+    args = build_parser().parse_args(argv)
     handlers = {
         "predict-stream": cmd_predict_stream,
         "train": cmd_train,

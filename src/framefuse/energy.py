@@ -141,14 +141,14 @@ def _json_number(cell: str) -> float | None:
 
 
 def _load_two_column_csv(path: str, expected_header: tuple[str, str]) -> list[tuple[float, float]]:
-    """A UTF-8 trace's rows. Lines end at \\n, \\r\\n or \\r; a line that is not
-    UTF-8 is rejected by its number."""
+    """A UTF-8 trace's rows, after a leading BOM. Lines end at \\n, \\r\\n or \\r;
+    a line that is not UTF-8 is rejected by its number."""
     with open(path, "rb") as handle:
         lines = handle.read().splitlines() or [b""]
     rows = []
     for line_number, raw in enumerate(lines, start=1):
         try:
-            line = raw.decode().strip()
+            line = raw.decode("utf-8-sig" if line_number == 1 else "utf-8").strip()
         except UnicodeDecodeError as exc:
             raise TraceError(f"{path}: line {line_number}: not UTF-8: {exc}") from exc
         if line_number == 1:
@@ -194,7 +194,7 @@ def load_run_meta(path: str, q: float | None = None) -> TrainingRunMeta:
     nothing is coerced. A q given here replaces the file's own, which must
     still be valid.
     """
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8-sig") as handle:
         try:
             record = json.load(handle)
         except RecursionError as exc:

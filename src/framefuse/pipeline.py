@@ -76,7 +76,7 @@ class StreamConfig:
                  auto_reset: bool = True, frame_interval_seconds: float | None = None,
                  stream_id: str = ""):
         if capacity_n < 0:
-            raise ValueError("capacity_n must be >= 0")
+            raise ValueError(f"capacity_n (the window) must be >= 0, got {capacity_n}")
         if capacity_n > MAX_RECOMMENDED_WINDOW:
             warnings.warn(
                 f"frame window of {capacity_n} exceeds the recommended maximum of "

@@ -122,11 +122,11 @@ def session_report(session: TrainingSession) -> dict:
 
 
 def load_manifest(path: Path) -> List[LabeledItem]:
-    """Read a UTF-8 path,label CSV manifest. A file that is not UTF-8, or
-    that the csv reader refuses (a cell over its field limit), is a
-    ManifestError naming the file."""
+    """Read a UTF-8 path,label CSV manifest, after a leading BOM. A file that
+    is not UTF-8, or that the csv reader refuses (a cell over its field
+    limit), is a ManifestError naming the file."""
     items: List[LabeledItem] = []
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:
             if reader.fieldnames is None or not {"path", "label"} <= set(reader.fieldnames):

@@ -5,7 +5,6 @@ import os
 import select
 import subprocess
 import sys
-import warnings
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -15,16 +14,25 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import framefuse
-from framefuse.cli import build_parser, main
+from framefuse.cli import main
 
 from conftest import TABLE1_FRAMES, TABLE2_FRAMES
 from stream_oracle import expected_output
 
 FAKE_BACKEND = Path(__file__).resolve().parent / "fake_backend.py"
+SRC_DIR = str(Path(framefuse.__file__).resolve().parents[1])
 
 
 def run_cli(*argv):
     return main(list(argv))
+
+
+def run_in_child(*argv, stdin=b"", env=None):
+    """The CLI in a new interpreter, by default with this environment and the
+    source on PYTHONPATH; stdout and stderr are bytes."""
+    return subprocess.run([sys.executable, "-m", "framefuse.cli", *argv], input=stdin,
+                          capture_output=True, env=env or dict(os.environ, PYTHONPATH=SRC_DIR),
+                          timeout=60)
 
 
 class TestPredictStream:
@@ -228,11 +236,10 @@ class TestStreaming:
 
     @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
     def test_event_leaves_before_input_closes(self, unbuffered, fixtures_dir):
-        env = {k: v for k, v in os.environ.items()
-               if k != "PYTHONUNBUFFERED" and not k.startswith("FRAMEFUSE_")}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = SRC_DIR
         lines = (fixtures_dir / "table1_traffic.jsonl").read_text().splitlines()[:2]
         proc = subprocess.Popen(
             [sys.executable, "-m", "framefuse.cli", "predict-stream"],
@@ -260,11 +267,10 @@ class TestStreaming:
         src = tmp_path / "frames.jsonl"
         src.write_text("".join(frame_line(f"cam-{i % 7}", i, {"a": 0.25, "b": 0.75}) + "\n"
                                for i in range(1, 20_001)))
-        env = {k: v for k, v in os.environ.items()
-               if k != "PYTHONUNBUFFERED" and not k.startswith("FRAMEFUSE_")}
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = SRC_DIR
         proc = subprocess.Popen(
             [sys.executable, "-m", "framefuse.cli", "predict-stream", "--input", str(src)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
@@ -279,6 +285,14 @@ class TestStreaming:
                 proc.kill()
                 proc.wait()
             proc.stderr.close()
+
+    def test_long_window_warns_in_one_line(self, fixtures_dir):
+        frames = (fixtures_dir / "table1_traffic.jsonl").read_bytes()
+        proc = run_in_child("predict-stream", "--window", "9", stdin=frames)
+        assert proc.returncode == 0
+        assert proc.stderr == (b"warning: frame window of 9 exceeds the recommended maximum of "
+                               b"7; chained posteriors are likely to collapse\n")
+        assert proc.stdout == expected_output(frames.decode().splitlines(), window=9)
 
     @staticmethod
     def run_in_fresh_interpreter(tmp_path, *flags):
@@ -296,10 +310,8 @@ class TestStreaming:
             f" *{list(flags)!r}])\n"
             "print(code, *sorted(sys.modules))\n"
         )
-        env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
-        env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
         proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                              text=True, env=env, timeout=30)
+                              text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=30)
         code, *modules = proc.stdout.split()
         assert code == "0", proc.stderr
         return set(modules), out.read_text()
@@ -387,9 +399,7 @@ class TestByteOracle:
                 "--auto-reset" if auto_reset else "--no-auto-reset"]
         if interval is not None:
             argv += ["--frame-interval", interval]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # --window 8 warns
-            assert main(argv) == 0
+        assert main(argv) == 0
         assert out.read_bytes() == expected_output(
             lines, fmt, p_cnn, window, auto_reset, None if interval is None else float(interval))
 
@@ -608,50 +618,6 @@ class TestLoneSurrogates:
         code, out, _, _ = run_on_pipes(record.encode(), "--format", fmt)
         assert code == 0
         assert ("\U0001f3a5" if fmt == "csv" else r"\ud83c\udfa5") in out.decode()
-
-
-class TestEnvFallbacks:
-    @pytest.mark.parametrize("name,commands", [
-        ("WINDOW", ["predict-stream"]),
-        ("P_CNN", ["predict-stream"]),
-        ("Q", ["train"]),
-    ])
-    def test_bad_numeric_fallback_is_a_usage_error(self, name, commands, monkeypatch, capsys):
-        monkeypatch.setenv(f"FRAMEFUSE_{name}", "abc")
-        for command in commands:
-            argv = [command]
-            if command == "train":
-                argv += ["--offline-manifest", "o.csv", "--crossval-manifest", "c.csv"]
-            with pytest.raises(SystemExit) as exit_info:
-                run_cli(*argv)
-            assert exit_info.value.code == 2
-            err = capsys.readouterr().err
-            assert "usage:" in err and "'abc'" in err
-
-    @pytest.mark.parametrize("name,raw", [("FORMAT", "xml"), ("AUTO_RESET", "maybe")])
-    def test_bad_choice_fallback_is_a_usage_error(self, name, raw, monkeypatch, capsys):
-        monkeypatch.setenv(f"FRAMEFUSE_{name}", raw)
-        with pytest.raises(SystemExit) as exit_info:
-            run_cli("predict-stream", "--input", os.devnull, "--output", os.devnull)
-        assert exit_info.value.code == 2
-        err = capsys.readouterr().err
-        assert "usage:" in err and f"FRAMEFUSE_{name}={raw!r}" in err
-
-    @pytest.mark.parametrize("name,raw,flag", [
-        ("FORMAT", "xml", "--format=jsonl"), ("AUTO_RESET", "maybe", "--no-auto-reset"),
-    ])
-    def test_given_flag_overrides_a_bad_fallback(self, name, raw, flag, monkeypatch):
-        monkeypatch.setenv(f"FRAMEFUSE_{name}", raw)
-        assert run_cli("predict-stream", "--input", os.devnull, "--output", os.devnull,
-                       flag) == 0
-
-    @pytest.mark.parametrize("raw,auto_reset", [
-        (" ON ", True), ("yes", True), ("1", True), ("Off", False), ("no", False), ("0", False),
-    ])
-    def test_auto_reset_fallback_words(self, raw, auto_reset, monkeypatch):
-        monkeypatch.setenv("FRAMEFUSE_AUTO_RESET", raw)
-        args = build_parser().parse_args(["predict-stream"])
-        assert args.auto_reset is auto_reset
 
 
 # Manifest headers: the right one, in another order or with an extra column,
@@ -886,11 +852,13 @@ def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys)
      "not-utf8-manifest.csv: 'utf-8' codec can't decode byte 0xff"),
     ("train", ["--offline-manifest", "{tmp}/wide-manifest.csv", "--crossval-manifest",
                "{tmp}/manifest.csv"], 2, "wide-manifest.csv: field larger than field limit"),
+    ("predict-stream", ["--input", "{tmp}/manifest.csv", "--window", "-1"], 2,
+     "capacity_n (the window) must be >= 0, got -1"),
 ], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
         "train-missing", "train-deep-reply", "thermal-missing", "ecti-meta-not-json",
         "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1",
         "thermal-trace-not-utf8", "ecti-power-trace-not-utf8", "train-manifest-not-utf8",
-        "train-manifest-cell-over-csv-limit"])
+        "train-manifest-cell-over-csv-limit", "stream-negative-window"])
 def test_bad_input_exits_its_code_without_traceback(command, argv, code, message, fixtures_dir,
                                                     tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "\n")
@@ -905,13 +873,51 @@ def test_bad_input_exits_its_code_without_traceback(command, argv, code, message
     (tmp_path / "not-utf8-manifest.csv").write_bytes(b"path,label\na.jpg,Fl\xffuid\n")
     (tmp_path / "wide-manifest.csv").write_text("path,label\na.jpg," + "x" * 200_000 + "\n")
     argv = [arg.format(tmp=tmp_path, fixtures=fixtures_dir) for arg in argv]
-    env = {k: v for k, v in os.environ.items() if not k.startswith("FRAMEFUSE_")}
-    env["PYTHONPATH"] = str(Path(framefuse.__file__).resolve().parents[1])
-    proc = subprocess.run([sys.executable, "-m", "framefuse.cli", command, *argv],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode == code, proc.stderr
-    assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr
-    assert message in proc.stderr
+    proc = run_in_child(command, *argv)
+    stderr = proc.stderr.decode()
+    assert proc.returncode == code, stderr
+    assert stderr.startswith("error: ") and "Traceback" not in stderr
+    assert message in stderr
+
+
+@pytest.mark.parametrize("source,argv", [
+    ("vgg16_power.csv", ["ecti", "--run", "{fixtures}/vgg16_meta.json,{file}"]),
+    ("vgg16_thermal.csv", ["thermal", "--trace", "{file}", "--baseline-temp", "69.24"]),
+    (None, ["train", "--offline-manifest", "{file}", "--crossval-manifest", "{file}"]),
+    ("vgg16_meta.json", ["ecti", "--run", "{file},{fixtures}/vgg16_power.csv"]),
+], ids=["power-trace", "thermal-trace", "manifest", "meta"])
+def test_leading_bom_is_skipped(source, argv, fixtures_dir, tmp_path, capsys):
+    data = (fixtures_dir / source).read_bytes() if source else b"path,label\na.jpg,Fluid\n"
+    results = []
+    for name, bom in [("plain", b""), ("bom", "\ufeff".encode())]:
+        path = tmp_path / name
+        path.write_bytes(bom + data)
+        code = run_cli(*[arg.format(file=path, fixtures=fixtures_dir) for arg in argv])
+        results.append((code, capsys.readouterr().out))
+    assert results[0][1]  # the file without a BOM gives a report
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict-stream"],
+    ["train", "--offline-manifest", "{tmp}/manifest.csv", "--crossval-manifest",
+     "{tmp}/manifest.csv", "--backend", "synthetic"],
+], ids=["predict-stream", "train"])
+def test_framefuse_variables_are_not_read(argv, fixtures_dir, tmp_path):
+    # Each value would change the run, or stop it, if it were read as its flag's default.
+    stray = tmp_path / "stray-output"
+    old = {"FORMAT": "csv", "P_CNN": "0.5", "WINDOW": "abc", "AUTO_RESET": "maybe", "Q": "abc",
+           "BACKEND": "external:false", "INPUT": str(tmp_path / "missing.jsonl"),
+           "OUTPUT": str(stray)}
+    (tmp_path / "manifest.csv").write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    frames = (fixtures_dir / "table1_traffic.jsonl").read_bytes()
+    clean = run_in_child(*argv, stdin=frames)
+    env = dict(os.environ, PYTHONPATH=SRC_DIR, **{f"FRAMEFUSE_{k}": v for k, v in old.items()})
+    under = run_in_child(*argv, stdin=frames, env=env)
+    assert clean.stdout
+    assert (under.returncode, under.stdout) == (clean.returncode, clean.stdout), under.stderr
+    assert not stray.exists()
 
 
 class TestEctiCommand:
