@@ -10,19 +10,23 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import selectors
 import shlex
 import subprocess
-from typing import Collection, Dict, Protocol, Sequence, Tuple
+import time
+from collections.abc import Collection, Sequence
 
-from . import bayes
+from . import bayes, pipeline
 
 PROTOCOL_VERSION = 1
 CLOSE_WAIT_S = 10.0  # how long close() waits for the child before killing it
+REPLY_TIMEOUT_S = 60.0  # how long a predict reply may take; hello and train replies have no bound
 # Predict scores are raw classifier outputs, which sum to 1 only as closely
 # as a float32 softmax does.
 SCORE_SUM_TOLERANCE = 1e-3
 
-LabeledItem = Tuple[str, str]  # (image ref, true label)
+LabeledItem = tuple[str, str]  # (image ref, true label)
 
 
 class BackendError(RuntimeError):
@@ -33,14 +37,8 @@ class ProtocolError(BackendError):
     """The external backend violated the wire protocol."""
 
 
-class ClassifierBackend(Protocol):
-    def train(self, items: Sequence[LabeledItem]) -> int: ...
-
-    def predict(self, ref: str) -> Dict[str, float]: ...
-
-
-def check_reply_scores(scores: object, labels: Collection[str]) -> Dict[str, float]:
-    """Return a predict reply's scores as floats, or raise ProtocolError.
+def check_reply_scores(scores: object, labels: Collection[str]) -> dict[str, float]:
+    """Return a predict reply's scores once they pass, or raise ProtocolError.
 
     The scores must pass the score rule (``bayes.check_scores``), cover
     every label in ``labels`` and sum to 1 within SCORE_SUM_TOLERANCE.
@@ -57,10 +55,10 @@ def check_reply_scores(scores: object, labels: Collection[str]) -> Dict[str, flo
     total = math.fsum(scores.values())
     if abs(total - 1.0) > SCORE_SUM_TOLERANCE:
         raise ProtocolError(f"predict scores sum to {total!r}, not 1")
-    return {str(label): float(value) for label, value in scores.items()}
+    return scores
 
 
-def _one_hot(labels: Sequence[str], chosen: str) -> Dict[str, float]:
+def _one_hot(labels: Sequence[str], chosen: str) -> dict[str, float]:
     return {label: 1.0 if label == chosen else 0.0 for label in labels}
 
 
@@ -71,14 +69,14 @@ class MemorizingBackend:
         if not labels:
             raise ValueError("labels must be non-empty")
         self.labels = list(labels)
-        self._memory: Dict[str, str] = {}
+        self._memory: dict[str, str] = {}
 
     def train(self, items: Sequence[LabeledItem]) -> int:
         for ref, label in items:
             self._memory[ref] = label
         return len(items)
 
-    def predict(self, ref: str) -> Dict[str, float]:
+    def predict(self, ref: str) -> dict[str, float]:
         label = self._memory.get(ref)
         if label is None:
             uniform = 1.0 / len(self.labels)
@@ -104,15 +102,12 @@ class ExternalBackend:
         if not argv:
             raise ValueError("backend command is empty")
         try:
-            self._proc = subprocess.Popen(
-                argv,
-                stdin=subprocess.PIPE,
-                stdout=subprocess.PIPE,
-                encoding="utf-8",
-                bufsize=1,
-            )
+            self._proc = subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE)
         except OSError as exc:
             raise BackendError(f"cannot start backend {command!r}: {exc}") from exc
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._proc.stdout, selectors.EVENT_READ)
+        self._replies = pipeline.read_lines(self._read, 65536)  # a pipe's capacity
         self._next_id = 0
         try:
             reply = self._call({"op": "hello", "version": PROTOCOL_VERSION})
@@ -122,21 +117,31 @@ class ExternalBackend:
             self.close()
             raise
 
+    def _read(self, size: int) -> bytes:
+        """The child's next output bytes; past the reply deadline, kill the child and raise."""
+        if self._deadline is not None and not self._selector.select(
+                self._deadline - time.monotonic()):
+            self._proc.kill()
+            raise BackendError(f"no reply within {REPLY_TIMEOUT_S} s")
+        return os.read(self._proc.stdout.fileno(), size)
+
     def _call(self, request: dict) -> dict:
         request = dict(request, id=self._next_id)
         self._next_id += 1
-        assert self._proc.stdin is not None and self._proc.stdout is not None
+        self._deadline = time.monotonic() + REPLY_TIMEOUT_S if request["op"] == "predict" else None
         try:
-            self._proc.stdin.write(json.dumps(request) + "\n")
+            self._proc.stdin.write(json.dumps(request).encode() + b"\n")
             self._proc.stdin.flush()
-        except (BrokenPipeError, OSError) as exc:
+        except OSError as exc:
             raise BackendError(f"backend process went away: {exc}") from exc
+        raw = next(self._replies, None)
+        if raw is None:
+            raise BackendError("backend closed its output stream")
         try:
-            line = self._proc.stdout.readline()
+            # The line as sent, decoded here: json.loads would also take UTF-16 or UTF-32.
+            line = (raw + b"\n").decode()
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"reply is not UTF-8: {exc}") from exc
-        if not line:
-            raise BackendError("backend closed its output stream")
         try:
             reply = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -161,12 +166,13 @@ class ExternalBackend:
             raise BackendError(f"train not acknowledged: {reply}")
         return len(items)
 
-    def predict(self, ref: str) -> Dict[str, float]:
+    def predict(self, ref: str) -> dict[str, float]:
         reply = self._call({"op": "predict", "image": ref})
         return check_reply_scores(reply.get("scores"), self.labels)
 
     def close(self) -> None:
         """Close both pipes and reap the child, killing it if it outlives CLOSE_WAIT_S."""
+        self._selector.close()
         for stream in (self._proc.stdin, self._proc.stdout):
             try:
                 stream.close()

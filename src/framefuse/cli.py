@@ -15,7 +15,7 @@ import json
 import os
 import sys
 import warnings
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 
 from . import pipeline
 from .bayes import DEFAULT_Q, ClassifierProfile
@@ -45,6 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     reset = predict.add_mutually_exclusive_group()
     reset.add_argument("--auto-reset", dest="auto_reset", action="store_true", default=True)
     reset.add_argument("--no-auto-reset", dest="auto_reset", action="store_false")
+    predict.set_defaults(handler=cmd_predict_stream)
 
     train = sub.add_parser("train", help="run the hybrid training loop")
     train.add_argument("--offline-manifest", required=True, help="path,label CSV for offline training")
@@ -53,29 +54,22 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--q", type=float, default=DEFAULT_Q)
     train.add_argument("--max-retrain-rounds", type=int, default=1)
     train.add_argument("--output", default="-", help="report JSON path or -")
+    train.set_defaults(handler=cmd_train)
 
     ecti = sub.add_parser("ecti", help="energy per training image, per model")
     ecti.add_argument("--run", action="append", required=True, metavar="META.json,POWER.csv",
                       help="meta JSON and power CSV pair; repeatable")
     ecti.add_argument("--q", type=float, default=None, help="override the quality threshold")
     ecti.add_argument("--output", default="-")
+    ecti.set_defaults(handler=cmd_ecti)
 
     thermal = sub.add_parser("thermal", help="thermal summary and lifespan projection")
     thermal.add_argument("--trace", required=True, help="timestamp_s,celsius CSV")
     thermal.add_argument("--baseline-temp", type=float, required=True,
                          help="idle operating temperature in C")
     thermal.add_argument("--output", default="-")
+    thermal.set_defaults(handler=cmd_thermal)
     return parser
-
-
-def _write_report(path: str, report: dict) -> None:
-    """Write the report as indented JSON."""
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as handle:
-            handle.write(text)
 
 
 # The most input read at once. The events of one read leave in one write, so
@@ -102,23 +96,11 @@ def _write_all(sink, data: bytes) -> None:
         written += sink.write(memoryview(data)[written:])
 
 
-def _read_lines(source, before_read) -> Iterator[bytes]:
-    """Yield the input's lines, split at b"\\n", calling before_read() before each read.
-
-    A line cut by a read is carried into the next one; a last line without
-    its newline is still yielded.
-    """
-    tail = b""
-    while True:
-        before_read()
-        chunk = source.read1(READ_BYTES)
-        if not chunk:
-            break
-        lines = (tail + chunk).split(b"\n")
-        tail = lines.pop()
-        yield from lines
-    if tail:
-        yield tail
+def _write_report(path: str, report: dict) -> None:
+    """Write the report as indented JSON."""
+    with _open_binary(path, "wb") as sink:
+        _write_all(sink, (json.dumps(report, indent=2, sort_keys=True) + "\n").encode())
+        sink.flush()
 
 
 def cmd_predict_stream(args: argparse.Namespace) -> int:
@@ -143,6 +125,11 @@ def cmd_predict_stream(args: argparse.Namespace) -> int:
                 _write_all(sink, data)
                 sink.flush()
 
+        def read(size: int) -> bytes:
+            """Write the pending events first, so that none waits on the next input."""
+            write_batch()
+            return source.read1(size)
+
         if args.format == "csv":
             import csv
 
@@ -152,26 +139,27 @@ def cmd_predict_stream(args: argparse.Namespace) -> int:
         else:
             encode, emit = pipeline.event_to_json, batch.append
         try:
-            for event in pipeline.fold_lines(_read_lines(source, write_batch), config):
+            for event in pipeline.fold_lines(pipeline.read_lines(read, READ_BYTES), config):
                 emit(encode(event))
         finally:
             write_batch()  # the last line's event, or those before a bad line
     return EXIT_OK
 
 
-def _make_backend(spec: str, labels: Sequence[str]):
+def _open_backend(spec: str, labels: Sequence[str]):
+    """The backend named by --backend, as a context that closes what it started."""
     from .backends import ExternalBackend, MemorizingBackend
 
     if spec == "synthetic":
-        return MemorizingBackend(labels)
+        return contextlib.nullcontext(MemorizingBackend(labels))
     if spec.startswith("external:"):
-        return ExternalBackend(spec[len("external:"):], labels)
+        return contextlib.closing(ExternalBackend(spec[len("external:"):], labels))
     raise ValueError(f"unknown backend {spec!r}")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     from . import training
-    from .backends import BackendError, ExternalBackend
+    from .backends import BackendError
 
     offline = training.load_manifest(args.offline_manifest)
     crossval = training.load_manifest(args.crossval_manifest)
@@ -182,16 +170,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         max_retrain_rounds=args.max_retrain_rounds,
     )
     labels = sorted({label for _, label in offline + crossval})
-    backend = None
     try:
-        backend = _make_backend(args.backend, labels)
-        training.run_session(session, backend)
+        with _open_backend(args.backend, labels) as backend:
+            training.run_session(session, backend)
     except BackendError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    finally:
-        if isinstance(backend, ExternalBackend):
-            backend.close()
     report = training.session_report(session)
     _write_report(args.output, report)
     return EXIT_OK if report["quality_met"] else EXIT_QUALITY_NOT_MET
@@ -247,14 +231,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     its backend's failure (exit 4) itself. A reader that closes the output
     pipe chose to stop: that exits 0, silently."""
     args = build_parser().parse_args(argv)
-    handlers = {
-        "predict-stream": cmd_predict_stream,
-        "train": cmd_train,
-        "ecti": cmd_ecti,
-        "thermal": cmd_thermal,
-    }
     try:
-        return handlers[args.command](args)
+        return args.handler(args)
     except BrokenPipeError:
         # Point stdout at devnull, so that the flush at shutdown writes nothing.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -205,6 +205,21 @@ def read_frame_streams(lines: Iterable[str]) -> dict[str, list[CategoryDistribut
     return streams
 
 
+def read_lines(read: Callable[[int], bytes], size: int) -> Iterator[bytes]:
+    """Yield the lines of what ``read(size)`` returns until it returns b"", split at b"\\n".
+
+    A line cut by a read is carried into the next one; a last line without
+    its newline is still yielded.
+    """
+    tail = b""
+    while chunk := read(size):
+        lines = (tail + chunk).split(b"\n")
+        tail = lines.pop()
+        yield from lines
+    if tail:
+        yield tail
+
+
 def fold_lines(lines: Iterable[bytes], config: StreamConfig) -> Iterator[StreamEvent]:
     """Fold interleaved JSONL frames per stream, yielding each event in input order.
 

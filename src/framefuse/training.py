@@ -3,7 +3,8 @@
 Offline training, then cross-validation that stacks the misses for
 refeeding; while the accuracy is below the quality threshold and retrain
 rounds remain, the backend trains on the refeed stack and the set is
-validated again. The backend is opaque: synthetic in-process or external
+validated again. The backend is any object with ``train(items) -> count``
+and ``predict(ref) -> {label: score}``: synthetic in-process or external
 over the wire protocol.
 """
 
@@ -12,10 +13,8 @@ from __future__ import annotations
 import csv
 import enum
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional
 
-from .backends import BackendError, ClassifierBackend, LabeledItem
+from .backends import BackendError, LabeledItem
 from .bayes import DEFAULT_Q, argmax_label, check_probability
 
 
@@ -34,15 +33,15 @@ class ManifestError(ValueError):
 class TrainingSession:
     """Settings and mutable state of one training run."""
 
-    offline_set: List[LabeledItem]
-    crossval_set: List[LabeledItem]
+    offline_set: list[LabeledItem]
+    crossval_set: list[LabeledItem]
     q_threshold: float = DEFAULT_Q
     max_retrain_rounds: int = 1
     phase: Phase = field(init=False, default=Phase.OFFLINE)
-    refeed_stack: List[LabeledItem] = field(init=False, default_factory=list)
-    accuracy_history: List[float] = field(init=False, default_factory=list)
+    refeed_stack: list[LabeledItem] = field(init=False, default_factory=list)
+    accuracy_history: list[float] = field(init=False, default_factory=list)
     retrain_rounds_used: int = field(init=False, default=0)
-    quality_met: Optional[bool] = field(init=False, default=None)
+    quality_met: bool | None = field(init=False, default=None)
 
     def __post_init__(self) -> None:
         if not self.offline_set:
@@ -54,15 +53,15 @@ class TrainingSession:
             raise ValueError(f"max_retrain_rounds must be >= 0, got {self.max_retrain_rounds}")
 
     @property
-    def final_accuracy(self) -> Optional[float]:
+    def final_accuracy(self) -> float | None:
         return self.accuracy_history[-1] if self.accuracy_history else None
 
     @property
-    def best_accuracy(self) -> Optional[float]:
+    def best_accuracy(self) -> float | None:
         return max(self.accuracy_history) if self.accuracy_history else None
 
 
-def _validate(session: TrainingSession, backend: ClassifierBackend) -> float:
+def _validate(session: TrainingSession, backend) -> float:
     """Predict each cross-validation item once; stack the misses, record the accuracy."""
     session.refeed_stack = []
     correct = 0
@@ -84,7 +83,7 @@ def _validate(session: TrainingSession, backend: ClassifierBackend) -> float:
     return accuracy
 
 
-def run_session(session: TrainingSession, backend: ClassifierBackend) -> TrainingSession:
+def run_session(session: TrainingSession, backend) -> TrainingSession:
     """Train offline, then refeed the misses and validate again until Q holds.
 
     Each retrain round trains on the refeed stack and validates once, up to
@@ -121,11 +120,11 @@ def session_report(session: TrainingSession) -> dict:
     }
 
 
-def load_manifest(path: Path) -> List[LabeledItem]:
+def load_manifest(path) -> list[LabeledItem]:
     """Read a UTF-8 path,label CSV manifest, after a leading BOM. A file that
     is not UTF-8, or that the csv reader refuses (a cell over its field
     limit), is a ManifestError naming the file."""
-    items: List[LabeledItem] = []
+    items: list[LabeledItem] = []
     with open(path, encoding="utf-8-sig", newline="") as handle:
         reader = csv.DictReader(handle)
         try:

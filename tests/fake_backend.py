@@ -10,6 +10,7 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --list-reply answer every predict with a JSON list, not an object
   --bad-utf8   answer every predict with a line that is not UTF-8
   --deep-reply answer every predict with 100 000 nested JSON lists
+  --hang       answer the handshake, then read on but never answer a predict
 """
 
 import argparse
@@ -35,6 +36,7 @@ def main():
     parser.add_argument("--list-reply", action="store_true")
     parser.add_argument("--bad-utf8", action="store_true")
     parser.add_argument("--deep-reply", action="store_true")
+    parser.add_argument("--hang", action="store_true")
     args = parser.parse_args()
 
     memory = {}
@@ -57,6 +59,8 @@ def main():
             for item in msg.get("items", []):
                 memory[item["image"]] = item["label"]
             reply["ok"] = True
+        elif op == "predict" and args.hang:
+            continue
         elif op == "predict" and args.list_reply:
             reply = [reply["id"]]
         elif op == "predict" and args.deep_reply:

@@ -5,6 +5,7 @@ import os
 import select
 import subprocess
 import sys
+import time
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -33,6 +34,24 @@ def run_in_child(*argv, stdin=b"", env=None):
     return subprocess.run([sys.executable, "-m", "framefuse.cli", *argv], input=stdin,
                           capture_output=True, env=env or dict(os.environ, PYTHONPATH=SRC_DIR),
                           timeout=60)
+
+
+def modules_after_run(*argv):
+    """The modules loaded by a run of the CLI in a new interpreter, which must exit 0.
+
+    -S keeps site-packages' start-up hooks out of the module set.
+    """
+    script = (
+        "import sys\n"
+        "from framefuse.cli import main\n"
+        f"code = main({list(argv)!r})\n"
+        "print(code, *sorted(sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=30)
+    code, *modules = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return set(modules)
 
 
 class TestPredictStream:
@@ -296,25 +315,13 @@ class TestStreaming:
 
     @staticmethod
     def run_in_fresh_interpreter(tmp_path, *flags):
-        """One-frame predict-stream in a new interpreter: (modules loaded, output text).
-
-        -S keeps site-packages' start-up hooks out of the module set.
-        """
+        """One-frame predict-stream in a new interpreter: (modules loaded, output text)."""
         source = tmp_path / "one.jsonl"
         source.write_text(frame_line("cam-1", 1, {"b": 0.25, "a": 0.75}))
         out = tmp_path / "out"
-        script = (
-            "import sys\n"
-            "from framefuse.cli import main\n"
-            f"code = main(['predict-stream', '--input', {str(source)!r}, '--output', {str(out)!r},"
-            f" *{list(flags)!r}])\n"
-            "print(code, *sorted(sys.modules))\n"
-        )
-        proc = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True,
-                              text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR), timeout=30)
-        code, *modules = proc.stdout.split()
-        assert code == "0", proc.stderr
-        return set(modules), out.read_text()
+        modules = modules_after_run("predict-stream", "--input", str(source),
+                                    "--output", str(out), *flags)
+        return modules, out.read_text()
 
     def test_loads_only_the_stream_core(self, tmp_path):
         modules, output = self.run_in_fresh_interpreter(tmp_path)
@@ -795,6 +802,51 @@ class TestTrain:
         assert code == 2
         assert "must be" in capsys.readouterr().err
 
+    def test_loads_neither_typing_nor_pathlib(self, manifests, tmp_path):
+        offline, crossval = manifests
+        report = tmp_path / "report.json"
+        modules = modules_after_run("train", "--offline-manifest", str(offline),
+                                    "--crossval-manifest", str(crossval),
+                                    "--backend", "synthetic", "--output", str(report))
+        assert json.loads(report.read_text())["quality_met"] is True
+        assert {"typing", "pathlib"}.isdisjoint(modules), sorted({"typing", "pathlib"} & modules)
+
+    @pytest.mark.parametrize("backend,code,stderr", [
+        (f"{sys.executable} {FAKE_BACKEND} --hang", 4,
+         "error: backend failed mid-validation after 0 of 20 items (0 correct): "
+         "no reply within 0.5 s\n"),
+        # A hello reply waits out the server's model load, however long.
+        (f"sh -c 'sleep 1 && exec {sys.executable} {FAKE_BACKEND}'", 0, ""),
+    ], ids=["silent-predict", "slow-hello"])
+    def test_reply_deadline_bounds_predict_only(self, backend, code, stderr, manifests):
+        # The CLI runs in a child with a 0.5 s predict deadline. After main returns,
+        # the child reports any process of its own left unreaped; -W shows any
+        # pipe left open.
+        script = (
+            "import gc, os, sys\n"
+            "from framefuse import backends\n"
+            "from framefuse.cli import main\n"
+            "backends.REPLY_TIMEOUT_S = 0.5\n"
+            "code = main(sys.argv[1:])\n"
+            "gc.collect()\n"
+            "try:\n"
+            "    print('left behind:', os.waitpid(-1, os.WNOHANG), file=sys.stderr)\n"
+            "except ChildProcessError:\n"
+            "    pass\n"
+            "sys.exit(code)\n"
+        )
+        offline, crossval = manifests
+        start = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-W", "always::ResourceWarning", "-c", script, "train",
+             "--offline-manifest", str(offline), "--crossval-manifest", str(crossval),
+             "--backend", f"external:{backend}"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC_DIR),
+            timeout=10,
+        )
+        assert (proc.returncode, proc.stderr) == (code, stderr)
+        assert time.monotonic() - start < 5
+
     def test_zero_rounds_never_retrains(self, manifests, tmp_path):
         offline, crossval = manifests
         report_path = tmp_path / "report.json"
@@ -810,17 +862,39 @@ class TestTrain:
         assert report["accuracy_history"] == [0.25]
 
 
-@pytest.mark.parametrize("command", ["train", "ecti", "thermal"])
-def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys):
+def report_argv(command, fixtures_dir, tmp_path):
+    """The arguments of a report command that exits 0 on the fixtures."""
     manifest = tmp_path / "manifest.csv"
     manifest.write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
-    argv = {
+    return [command, *{
         "train": ["--offline-manifest", str(manifest), "--crossval-manifest", str(manifest)],
         "ecti": ["--run", f"{fixtures_dir / 'vgg16_meta.json'},{fixtures_dir / 'vgg16_power.csv'}"],
         "thermal": ["--trace", str(fixtures_dir / "vgg16_thermal.csv"), "--baseline-temp", "69.24"],
-    }[command]
-    assert run_cli(command, *argv, "--output", str(tmp_path / "missing" / "r.json")) == 2
+    }[command]]
+
+
+@pytest.mark.parametrize("command", ["train", "ecti", "thermal"])
+def test_unwritable_output_exits_schema(command, fixtures_dir, tmp_path, capsys):
+    argv = report_argv(command, fixtures_dir, tmp_path)
+    assert run_cli(*argv, "--output", str(tmp_path / "missing" / "r.json")) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command", ["train", "ecti", "thermal"])
+def test_report_to_a_closed_pipe_exits_ok_without_a_message(command, fixtures_dir, tmp_path):
+    # Buffered stdout, so that the report is still in the buffer when the command returns.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = SRC_DIR
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "framefuse.cli", *report_argv(command, fixtures_dir, tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize("command,argv,code,message", [
