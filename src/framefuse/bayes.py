@@ -8,7 +8,7 @@ Posteriors are deliberately NOT renormalized to sum to 1.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 
 # Every category below this chained posterior marks the window degenerate.
 DEGENERACY_EPSILON = 1e-4
@@ -27,6 +27,10 @@ class ScoreDomainError(ValueError):
 class LabelSetMismatchError(ValueError):
     """Incoming frame labels differ from the labels already in the chain."""
 
+    def __init__(self, frame_id: int, labels: Iterable[str], chain_labels: Iterable[str]):
+        super().__init__(f"frame {frame_id} labels {sorted(labels)} != chain labels "
+                         f"{sorted(chain_labels)}")
+
 
 def is_number(value: object) -> bool:
     """A JSON number: an int or float, not a bool."""
@@ -42,26 +46,26 @@ def check_probability(name: str, value: object) -> None:
 class CategoryDistribution:
     """One frame's classifier scores, keyed by category label.
 
-    Each score must be an int or float (not a bool) in [0, 1]; NaN fails the
-    range test. The distribution keeps its own copy of the map.
+    The map passes the score rule (``check_scores``). The distribution keeps
+    its own copy of the map.
     """
 
     __slots__ = ("frame_id", "scores")
 
     def __init__(self, frame_id: int, scores: Mapping[str, float]):
         scores = dict(scores)
-        if not scores:
-            raise ScoreDomainError("a frame needs at least one category score")
         check_scores(scores)
         self.frame_id = frame_id
         self.scores = scores
 
 
 def check_scores(scores: Mapping[str, float]) -> None:
-    """The score rule: each score is an int or float (not a bool) in [0, 1].
+    """The score rule: at least one score, each an int or float (not a bool) in [0, 1].
 
     NaN fails the range test. Raises ScoreDomainError naming the label.
     """
+    if not scores:
+        raise ScoreDomainError("a frame needs at least one category score")
     for label, value in scores.items():
         # The float test first: a JSON score is almost always a float.
         if not (value.__class__ is float or is_number(value)) or not 0.0 <= value <= 1.0:
@@ -104,22 +108,17 @@ class PosteriorState:
 
 
 def chained_posteriors(
-    prior: Mapping[str, float],
-    scores: Mapping[str, float],
+    prior: Iterable[float],
+    scores: Iterable[float],
     p_cnn: float,
-    frame_id: int,
-) -> dict[str, float]:
+) -> tuple[float, ...]:
     """One frame's Bayes step for every label: prior*s / (prior*s + p_cnn).
 
+    ``prior`` and ``scores`` hold one value per label, in one label order.
     Scores were checked by the score rule and p_cnn > 0 by ClassifierProfile,
-    so the update is applied without further checks. Raises
-    LabelSetMismatchError when the frame's labels differ from the prior's.
+    so the update is applied without further checks.
     """
-    if scores.keys() != prior.keys():
-        raise LabelSetMismatchError(
-            f"frame {frame_id} labels {sorted(scores)} != chain labels {sorted(prior)}"
-        )
-    return {label: (n := x * scores[label]) / (n + p_cnn) for label, x in prior.items()}
+    return tuple([(n := x * s) / (n + p_cnn) for x, s in zip(prior, scores)])
 
 
 def chain_update(
@@ -132,12 +131,16 @@ def chain_update(
     An empty state adopts the frame's own score map as its posteriors (no
     copy: neither the frame nor the chain ever mutates a map); afterwards
     every category's posterior is fed back as the prior for the next frame.
+    Raises LabelSetMismatchError when the frame's labels differ from the chain's.
     """
-    if state.steps_applied == 0:
-        posteriors = frame.scores
-    else:
-        posteriors = chained_posteriors(state.posteriors, frame.scores, profile.p_cnn,
-                                        frame.frame_id)
+    posteriors = frame.scores
+    if state.steps_applied:
+        prior = state.posteriors
+        if posteriors.keys() != prior.keys():
+            raise LabelSetMismatchError(frame.frame_id, posteriors, prior)
+        values = chained_posteriors(prior.values(), map(posteriors.__getitem__, prior),
+                                    profile.p_cnn)
+        posteriors = dict(zip(prior, values))
     return PosteriorState(
         posteriors=posteriors,
         steps_applied=state.steps_applied + 1,

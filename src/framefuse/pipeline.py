@@ -11,6 +11,7 @@ import json
 import math
 import operator
 import warnings
+from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -20,13 +21,14 @@ from .bayes import (
     MAX_RECOMMENDED_WINDOW,
     CategoryDistribution,
     ClassifierProfile,
-    argmax_label,
+    LabelSetMismatchError,
     chained_posteriors,
     check_scores,
 )
 
 DEFAULT_WINDOW = 3
 CSV_HEADER = ("stream_id", "frame_id", "raw_label", "tmav_label", "degenerate")
+_scan_once = json.JSONDecoder().scan_once  # (value, end) of the JSON value at an index
 
 
 class OutOfOrderFrameError(ValueError):
@@ -41,27 +43,43 @@ class StreamSchemaError(ValueError):
         self.line_number = line_number
 
 
-class StreamEvent:
-    """Per-frame output: the classifier's verdict and the temporal verdict.
-
-    On a window's first frame ``tmav_scores`` is the same map object as
-    ``raw_scores``.
+class _LabelSet:
+    """A score map's labels in sorted order; ``values`` takes the map to its
+    value tuple in that order. ``escaped`` holds the labels as json.dumps
+    escapes them, and ``template`` writes a value tuple as json.dumps writes
+    the sorted map, each value through its own ``__repr__`` (``%r``).
     """
 
-    __slots__ = ("frame_id", "raw_label", "raw_scores", "tmav_label", "tmav_scores",
-                 "degenerate", "wall_time", "stream_id")
+    __slots__ = ("labels", "escaped", "values", "template")
 
-    def __init__(self, frame_id: int, raw_label: str, raw_scores: Mapping[str, float],
-                 tmav_label: str, tmav_scores: Mapping[str, float], degenerate: bool,
-                 wall_time: float | None = None, stream_id: str = ""):
-        self.frame_id = frame_id
-        self.raw_label = raw_label
-        self.raw_scores = raw_scores
-        self.tmav_label = tmav_label
-        self.tmav_scores = tmav_scores
-        self.degenerate = degenerate
-        self.wall_time = wall_time
-        self.stream_id = stream_id
+    def __init__(self, labels: tuple[str, ...]):
+        self.labels = tuple(sorted(labels))
+        self.escaped = tuple(map(encode_basestring_ascii, self.labels))
+        get = operator.itemgetter(*self.labels)
+        self.values = get if len(labels) > 1 else lambda scores: (get(scores),)
+        fields = ", ".join(f"{label.replace('%', '%%')}: %r" for label in self.escaped)
+        self.template = f"{{{fields}}}"
+
+
+# Keyed by a map's labels in its own order; bounded: fuzzed input brings arbitrary label sets.
+_label_set = lru_cache(maxsize=256)(_LabelSet)
+
+
+class StreamEvent(namedtuple("StreamEvent", (
+        "frame_id", "raw_index", "raw_values", "tmav_index", "tmav_values", "degenerate",
+        "wall_time", "stream_id", "stream_json", "label_set"))):
+    """Per-frame output: the classifier's verdict and the temporal verdict.
+
+    Scores are value tuples in ``label_set``'s order, verdicts indices into it,
+    ``stream_json`` the stream id as JSON; labels and score maps are built when
+    read. On a window's first frame ``tmav_values`` is ``raw_values``.
+    """
+
+    __slots__ = ()
+    raw_label = property(lambda self: self.label_set.labels[self.raw_index])
+    tmav_label = property(lambda self: self.label_set.labels[self.tmav_index])
+    raw_scores = property(lambda self: dict(zip(self.label_set.labels, self.raw_values)))
+    tmav_scores = property(lambda self: dict(zip(self.label_set.labels, self.tmav_values)))
 
 
 class StreamConfig:
@@ -101,42 +119,52 @@ class StreamFold:
     The frame_id watermark survives a restart.
     """
 
-    __slots__ = ("config", "stream_id", "posteriors", "steps", "last_frame_id", "frames_seen")
+    __slots__ = ("config", "stream_id", "stream_json", "label_set", "chain", "steps",
+                 "last_frame_id", "frames_seen")
 
     def __init__(self, config: StreamConfig, stream_id: str = ""):
         self.config = config
         self.stream_id = stream_id
-        self.posteriors: Mapping[str, float] = {}  # the chain; read only once steps > 0
+        self.stream_json = encode_basestring_ascii(stream_id)
+        self.label_set: _LabelSet | None = None  # the chain's labels and, in their order,
+        self.chain: tuple[float, ...] = ()  # its values; both read only once steps > 0
         self.steps = 0  # frames chained since the window started
         self.last_frame_id: int | None = None
         self.frames_seen = 0
 
     def fold(self, frame_id: int, scores: Mapping[str, float]) -> StreamEvent:
-        """Chain one frame whose scores passed ``check_scores``."""
+        """Chain one frame whose scores passed ``check_scores``. Each argmax is the
+        first maximum in sorted-label order: a tie goes to the label that sorts first."""
         config = self.config
         if self.last_frame_id is not None and frame_id <= self.last_frame_id:
             raise OutOfOrderFrameError(
                 f"stream {self.stream_id!r}: frame_id {frame_id} not after {self.last_frame_id}"
             )
-        raw_label = argmax_label(scores)[0]
+        label_set = _label_set(tuple(scores))
+        raw = label_set.values(scores)
+        best = max(raw)
+        raw_index = raw.index(best)
         if self.steps:
-            posteriors = chained_posteriors(self.posteriors, scores, config.profile.p_cnn, frame_id)
-            tmav_label = argmax_label(posteriors)[0]
+            if label_set is not self.label_set and label_set.labels != self.label_set.labels:
+                raise LabelSetMismatchError(frame_id, label_set.labels, self.label_set.labels)
+            tmav = chained_posteriors(self.chain, raw, config.profile.p_cnn)
+            best = max(tmav)
+            tmav_index = tmav.index(best)
         else:
-            posteriors = scores
-            tmav_label = raw_label
+            tmav, tmav_index = raw, raw_index
         steps = self.steps + 1
-        degenerate = max(posteriors.values()) < DEGENERACY_EPSILON
+        degenerate = best < DEGENERACY_EPSILON
         interval = config.frame_interval_seconds
-        event = StreamEvent(
-            frame_id, raw_label, scores, tmav_label, posteriors, degenerate,
-            None if interval is None else interval * self.frames_seen, self.stream_id,
-        )
+        event = tuple.__new__(StreamEvent, (
+            frame_id, raw_index, raw, tmav_index, tmav, degenerate,
+            None if interval is None else interval * self.frames_seen,
+            self.stream_id, self.stream_json, label_set))
         if config.auto_reset and (
             degenerate or (config.capacity_n and steps >= config.capacity_n)
         ):
             steps = 0
-        self.posteriors = posteriors
+        self.label_set = label_set
+        self.chain = tmav
         self.steps = steps
         self.last_frame_id = frame_id
         self.frames_seen += 1
@@ -153,11 +181,18 @@ def process_stream(
 
 
 def _load_record(line: str, line_number: int) -> tuple[str, int, dict]:
-    """One JSONL record -> (stream_id, frame_id, scores), scores not yet checked."""
+    """One JSONL record -> (stream_id, frame_id, scores), scores not yet checked.
+    A line the scanner does not parse whole goes to json.loads, which parses
+    it (whitespace around the value) or names its fault."""
     try:
-        record = json.loads(line)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
-        raise StreamSchemaError(line_number, f"invalid JSON: {exc}") from exc
+        record, end = _scan_once(line, 0)
+    except (StopIteration, ValueError, RecursionError):  # no value, bad JSON, nested too deep
+        end = None
+    if end != len(line):
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise StreamSchemaError(line_number, f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise StreamSchemaError(line_number, "record must be a JSON object")
     try:
@@ -248,46 +283,24 @@ def fold_lines(lines: Iterable[bytes], config: StreamConfig) -> Iterator[StreamE
         yield event
 
 
-@lru_cache(maxsize=256)  # bounded: fuzzed input brings arbitrary label sets
-def _scores_format(labels: tuple[str, ...]) -> tuple[str, Callable]:
-    """A ``%`` template for a score map with these labels, and its value getter.
-
-    The template holds the labels in sorted order, escaped as json.dumps
-    escapes them; ``%r`` writes each value with its own ``__repr__``, as
-    json.dumps writes a float or an int. For one label the getter returns
-    the bare number, which ``%`` takes as its single value.
-    """
-    ordered = sorted(labels)
-    fields = ", ".join(f"{encode_basestring_ascii(label).replace('%', '%%')}: %r"
-                       for label in ordered)
-    return f"{{{fields}}}", operator.itemgetter(*ordered)
-
-
-def _encode_scores(scores: Mapping[str, float]) -> str:
-    template, values = _scores_format(tuple(scores))
-    return template % values(scores)
-
-
 def event_to_json(event: StreamEvent) -> str:
     """One JSON line, byte for byte what ``json.dumps(record, sort_keys=True)``
     writes for the event's record, built field by field in sorted key order.
 
-    A window's first event shares one map between ``raw_scores`` and
-    ``tmav_scores``, so that map is encoded once.
+    A window's first event shares one value tuple between its raw and tmav
+    scores, so those are encoded once.
     """
-    raw_scores = _encode_scores(event.raw_scores)
-    if event.tmav_scores is event.raw_scores:
-        tmav_scores = raw_scores
-    else:
-        tmav_scores = _encode_scores(event.tmav_scores)
-    wall_time = "" if event.wall_time is None else f', "wall_time": {event.wall_time!r}'
+    frame_id, raw_index, raw, tmav_index, tmav, degenerate, wall_time, _, stream_json, labels = event
+    raw_scores = labels.template % raw
+    tmav_scores = raw_scores if tmav is raw else labels.template % tmav
+    wall_time = "" if wall_time is None else f', "wall_time": {wall_time!r}'
     return (
-        f'{{"degenerate": {"true" if event.degenerate else "false"}, '
-        f'"frame_id": {event.frame_id!r}, '
-        f'"raw_label": {encode_basestring_ascii(event.raw_label)}, '
+        f'{{"degenerate": {"true" if degenerate else "false"}, '
+        f'"frame_id": {frame_id!r}, '
+        f'"raw_label": {labels.escaped[raw_index]}, '
         f'"raw_scores": {raw_scores}, '
-        f'"stream_id": {encode_basestring_ascii(event.stream_id)}, '
-        f'"tmav_label": {encode_basestring_ascii(event.tmav_label)}, '
+        f'"stream_id": {stream_json}, '
+        f'"tmav_label": {labels.escaped[tmav_index]}, '
         f'"tmav_scores": {tmav_scores}{wall_time}}}\n'
     )
 

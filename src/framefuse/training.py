@@ -99,7 +99,11 @@ def run_session(session: TrainingSession, backend) -> TrainingSession:
            and session.retrain_rounds_used < session.max_retrain_rounds):
         session.phase = Phase.RETRAIN
         session.retrain_rounds_used += 1
-        backend.train(session.refeed_stack)
+        try:
+            backend.train(session.refeed_stack)
+        except BackendError as exc:
+            raise BackendError(
+                f"retrain round {session.retrain_rounds_used} training failed: {exc}") from exc
         accuracy = _validate(session, backend)
     session.quality_met = accuracy >= session.q_threshold
     session.phase = Phase.DONE

@@ -32,7 +32,8 @@ pos_scores = st.floats(min_value=1e-9, max_value=1.0, allow_nan=False)
 
 def update(prior, current, p_cnn):
     """One label's Bayes step, through the update the stream fold runs."""
-    return chained_posteriors({"c": prior}, {"c": current}, p_cnn, frame_id=2)["c"]
+    (updated,) = chained_posteriors((prior,), (current,), p_cnn)
+    return updated
 
 
 class TestUpdatePosterior:
@@ -237,6 +238,8 @@ def test_probability_rule_accepts(good):
 def test_distribution_validation():
     with pytest.raises(ScoreDomainError):
         CategoryDistribution(frame_id=1, scores={})
+    with pytest.raises(ScoreDomainError, match="at least one category score"):
+        check_scores({})
     with pytest.raises(ScoreDomainError):
         CategoryDistribution(frame_id=1, scores={"a": 1.2})
     for bad in (float("nan"), -0.1, True, "0.5", None):

@@ -1,3 +1,5 @@
+import contextlib
+import gc
 import io
 import json
 import math
@@ -15,9 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import framefuse
+from framefuse.backends import BackendError
 from framefuse.cli import main
 
 from conftest import TABLE1_FRAMES, TABLE2_FRAMES
+from scripted_backend import ScriptedAccuracyBackend
 from stream_oracle import expected_output
 
 FAKE_BACKEND = Path(__file__).resolve().parent / "fake_backend.py"
@@ -512,6 +516,43 @@ def run_on_pipes(data, *argv, sizes=(), limit=None):
     return code, sink.getvalue(), source.reads, sink.writes
 
 
+# Python-level calls per frame that predict-stream made when this guard was set,
+# counted as below. A change that adds a call to the per-frame path fails here
+# without timing anything; one that removes calls may lower the figure.
+CALLS_PER_FRAME = 7.41  # 2000 calls over 270 frames; 14.74 before the value-tuple fold
+
+
+def test_per_frame_python_calls_are_bounded():
+    def frames(count):  # 3 interleaved streams, 4 labels
+        return "".join(
+            '{"stream_id": "cam-%d", "frame_id": %d, "scores": {"Empty": %r, "Fluid": %r, '
+            '"Heavy": 0.25, "Jam": 0.125}}\n' % (i % 3, i // 3 + 1, i * 37 % 100 / 100,
+                                                 1 - i * 37 % 100 / 100)
+            for i in range(count)).encode()
+
+    def calls(count):
+        counted = 0
+
+        def profile(frame, event, arg):
+            nonlocal counted
+            counted += event == "call"
+
+        data = frames(count)
+        gc.collect()  # no finalizer of another test's garbage runs while counting
+        gc.disable()
+        sys.setprofile(profile)
+        try:
+            code, out, _, _ = run_on_pipes(data)
+        finally:
+            sys.setprofile(None)
+            gc.enable()
+        assert (code, len(out.splitlines())) == (0, count)
+        return counted
+
+    calls(30)  # warm the label-set cache
+    assert (calls(300) - calls(30)) / 270 <= CALLS_PER_FRAME
+
+
 # Stream ids and labels whose UTF-8 spans 1 to 4 bytes, so reads cut characters.
 wide_text = st.sampled_from(["cam", "é", "日本", "🎥", "a%b"])
 
@@ -625,6 +666,62 @@ class TestLoneSurrogates:
         code, out, _, _ = run_on_pipes(record.encode(), "--format", fmt)
         assert code == 0
         assert ("\U0001f3a5" if fmt == "csv" else r"\ud83c\udfa5") in out.decode()
+
+
+# Lines that are not one bare JSON object, and their results, recorded from the
+# parser that ran json.loads on every line. The line under test is line 2: after
+# a frame of stream "s" and before a frame of stream "t".
+FRAME_S1 = ('{"degenerate": false, "frame_id": 1, "raw_label": "a", "raw_scores": '
+            '{"a": 0.5, "b": 0.25}, "stream_id": "s", "tmav_label": "a", "tmav_scores": '
+            '{"a": 0.5, "b": 0.25}}\n')
+FRAME_S2 = ('{"degenerate": false, "frame_id": 2, "raw_label": "a", "raw_scores": '
+            '{"a": 0.5, "b": 0.25}, "stream_id": "s", "tmav_label": "a", "tmav_scores": '
+            '{"a": 0.2017267812474784, "b": 0.05942194333523483}}\n')
+FRAME_T1 = ('{"degenerate": false, "frame_id": 1, "raw_label": "a", "raw_scores": {"a": 1}, '
+            '"stream_id": "t", "tmav_label": "a", "tmav_scores": {"a": 1}}\n')
+RECORD_S2 = '{"stream_id": "s", "frame_id": 2, "scores": {"a": 0.5, "b": 0.25}}'
+PARSE_CASES = {
+    "leading-spaces": ("  " + RECORD_S2, 0, FRAME_S1 + FRAME_S2 + FRAME_T1, ""),
+    "trailing-cr": (RECORD_S2 + "\r", 0, FRAME_S1 + FRAME_S2 + FRAME_T1, ""),
+    "bom": ("\ufeff" + RECORD_S2, 2, FRAME_S1,
+            "error: line 2: invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig): "
+            "line 1 column 1 (char 0)\n"),
+    "extra-data": (RECORD_S2 + " " + RECORD_S2, 2, FRAME_S1,
+                   "error: line 2: invalid JSON: Extra data: line 1 column 68 (char 67)\n"),
+    "list": ("[1]", 2, FRAME_S1, "error: line 2: record must be a JSON object\n"),
+    "string": ('"s"', 2, FRAME_S1, "error: line 2: record must be a JSON object\n"),
+    "deep": ("[" * 100_000 + "]" * 100_000, 2, FRAME_S1,
+             "error: line 2: invalid JSON: maximum recursion depth exceeded while decoding "
+             "a JSON array from a unicode string\n"),
+    "duplicate-scores": (
+        '{"stream_id": "s", "frame_id": 2, "scores": {"a": 0.5}, '
+        '"scores": {"a": 0.25, "b": 1}}', 0,
+        FRAME_S1 + '{"degenerate": false, "frame_id": 2, "raw_label": "b", "raw_scores": '
+        '{"a": 0.25, "b": 1}, "stream_id": "s", "tmav_label": "b", "tmav_scores": '
+        '{"a": 0.1121780489993718, "b": 0.2017267812474784}}\n' + FRAME_T1, ""),
+    "nan": ('{"stream_id": "s", "frame_id": 2, "scores": {"a": NaN, "b": 0.25}}', 2, FRAME_S1,
+            "error: line 2: score[a] must be a number in [0, 1], got nan\n"),
+    "infinity": ('{"stream_id": "s", "frame_id": 2, "scores": {"a": 0.5, "b": Infinity}}', 2,
+                 FRAME_S1, "error: line 2: score[b] must be a number in [0, 1], got inf\n"),
+    "surrogate-label": (r'{"stream_id": "s", "frame_id": 2, "scores": {"\ud800": 0.5}}', 2,
+                        FRAME_S1, "error: line 2: '\\ud800' holds a lone surrogate, "
+                        "which is not Unicode text\n"),
+    "surrogate-stream_id": (r'{"stream_id": "\ud800", "frame_id": 2, "scores": {"a": 0.5}}', 2,
+                            FRAME_S1, "error: line 2: '\\ud800' holds a lone surrogate, "
+                            "which is not Unicode text\n"),
+    "extra-fields": ('{"frame_id": 2, "camera": [1, {"x": null}], "stream_id": "s", '
+                     '"scores": {"b": 0.25, "a": 0.5}, "t": 1.5}', 0,
+                     FRAME_S1 + FRAME_S2 + FRAME_T1, ""),
+    "blank": ("", 0, FRAME_S1 + FRAME_T1, ""),
+}
+
+
+@pytest.mark.parametrize("line,code,stdout,stderr", PARSE_CASES.values(), ids=PARSE_CASES)
+def test_line_parse_results_are_pinned(line, code, stdout, stderr, capsys):
+    data = "\n".join(['{"stream_id": "s", "frame_id": 1, "scores": {"a": 0.5, "b": 0.25}}',
+                      line, '{"stream_id": "t", "frame_id": 1, "scores": {"a": 1}}', ""])
+    assert run_on_pipes(data.encode())[:2] == (code, stdout.encode())
+    assert capsys.readouterr() == ("", stderr)
 
 
 # Manifest headers: the right one, in another order or with an extra column,
@@ -860,6 +957,27 @@ class TestTrain:
         report = json.loads(report_path.read_text())
         assert report["phases"] == ["offline", "online_validation", "done"]
         assert report["accuracy_history"] == [0.25]
+
+    def test_failed_retrain_names_its_round(self, manifests, capsys):
+        class RetrainFails(ScriptedAccuracyBackend):
+            """Validates at 0.5, so a round retrains; the second train call raises."""
+
+            def train(self, items):
+                if self.train_calls == 1:
+                    raise BackendError("connection reset")
+                return super().train(items)
+
+        offline, crossval = manifests
+        refs = [f"img{i}.jpg" for i in range(20)]
+        labels = ["Empty", "Fluid", "Heavy", "Jam"]
+        backend = RetrainFails({ref: labels[i % 4] for i, ref in enumerate(refs)}, labels, [0.5])
+        with mock.patch("framefuse.cli._open_backend",
+                        return_value=contextlib.nullcontext(backend)):
+            code = run_cli("train", "--offline-manifest", str(offline),
+                           "--crossval-manifest", str(crossval), "--max-retrain-rounds", "2")
+        assert (code, backend.train_calls) == (4, 1)
+        assert capsys.readouterr().err == (
+            "error: retrain round 1 training failed: connection reset\n")
 
 
 def report_argv(command, fixtures_dir, tmp_path):

@@ -1,5 +1,6 @@
 import json
 import warnings
+from json.encoder import encode_basestring_ascii
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +14,7 @@ from framefuse.pipeline import (
     StreamEvent,
     StreamFold,
     StreamSchemaError,
+    _label_set,
     event_to_json,
     fold_lines,
     read_frame_streams,
@@ -64,7 +66,7 @@ class TestTableStreams:
     def test_single_frame_verdicts_agree(self, traffic_profile):
         events = fold_stream(TABLE1_FRAMES[:1], continuous(traffic_profile))
         assert len(events) == 1
-        assert events[0].tmav_scores is events[0].raw_scores
+        assert events[0].tmav_values is events[0].raw_values
         assert events[0].tmav_label == events[0].raw_label
 
 
@@ -222,20 +224,29 @@ class TestWireFormats:
         )
         assert [e.wall_time for e in events] == [0.0, 1.3, 2.6]
 
-    @given(event=st.builds(
-        StreamEvent,
-        frame_id=st.integers(),
-        raw_label=escaped_text,
-        raw_scores=wire_score_maps,
-        tmav_label=escaped_text,
-        tmav_scores=wire_score_maps,
-        degenerate=st.booleans(),
-        wall_time=st.none() | st.floats(min_value=0.0, allow_infinity=False),
-        stream_id=escaped_text,
-    ), tmav=st.sampled_from(["drawn", "shared", "copy"]))
-    def test_event_to_json_is_json_dumps(self, event, tmav):
-        if tmav == "shared":
-            event.tmav_scores = event.raw_scores
-        elif tmav == "copy":
-            event.tmav_scores = dict(event.raw_scores)
+    @given(data=st.data(), raw_scores=wire_score_maps,
+           tmav=st.sampled_from(["drawn", "shared", "copy"]))
+    def test_event_to_json_is_json_dumps(self, data, raw_scores, tmav):
+        label_set = _label_set(tuple(raw_scores))
+        raw_values = label_set.values(raw_scores)
+        if tmav == "drawn":
+            tmav_values = tuple(data.draw(st.lists(
+                st.floats(min_value=0.0, max_value=1.0) | st.integers(0, 1),
+                min_size=len(raw_values), max_size=len(raw_values))))
+        else:
+            tmav_values = raw_values if tmav == "shared" else tuple(list(raw_values))
+        stream_id = data.draw(escaped_text)
+        indices = st.integers(0, len(raw_values) - 1)
+        event = StreamEvent(
+            frame_id=data.draw(st.integers()),
+            raw_index=data.draw(indices),
+            raw_values=raw_values,
+            tmav_index=data.draw(indices),
+            tmav_values=tmav_values,
+            degenerate=data.draw(st.booleans()),
+            wall_time=data.draw(st.none() | st.floats(min_value=0.0, allow_infinity=False)),
+            stream_id=stream_id,
+            stream_json=encode_basestring_ascii(stream_id),
+            label_set=label_set,
+        )
         assert event_to_json(event) == json.dumps(event_to_dict(event), sort_keys=True) + "\n"
