@@ -144,7 +144,7 @@ class ExternalBackend:
             raise ProtocolError(f"reply is not UTF-8: {exc}") from exc
         try:
             reply = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
             raise ProtocolError(f"non-JSON reply: {line!r}") from exc
         except RecursionError as exc:
             raise ProtocolError(f"reply to request {request['id']} is nested too deep") from exc

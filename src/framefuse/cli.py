@@ -18,7 +18,7 @@ import warnings
 from collections.abc import Sequence
 
 from . import pipeline
-from .bayes import DEFAULT_Q, ClassifierProfile
+from .bayes import DEFAULT_Q, ClassifierProfile, check_probability
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -185,26 +185,17 @@ def cmd_ecti(args: argparse.Namespace) -> int:
     """ECTI per run; the model selected is the lowest-energy one whose ECTI is defined."""
     from . import energy
 
-    results = []
+    if args.q is not None:
+        check_probability("q_threshold", args.q)
+    rows = []
     for run in args.run:
         meta_path, _, power_path = run.partition(",")
         if not power_path:
             raise ValueError(f"--run expects META.json,POWER.csv, got {run!r}")
-        meta = energy.load_run_meta(meta_path, args.q)
+        meta = energy.load_run_meta(meta_path)
         kw = energy.average_power(energy.load_power_csv(power_path))
-        results.append(energy.compute_ecti(meta, kw))
-    _write_report(args.output, {
-        "models": [
-            {
-                "model": r.model_name,
-                "ecti_kwh_per_image": r.kwh_per_image,
-                "defined": r.defined,
-                "accuracy": r.achieved_accuracy,
-            }
-            for r in results
-        ],
-        "selected": energy.select_model(results),
-    })
+        rows.append(energy.ecti_row(meta, kw, args.q))
+    _write_report(args.output, {"models": rows, "selected": energy.select_model(rows)})
     return EXIT_OK
 
 

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
 
 from .bayes import DEFAULT_Q, check_probability, is_number
 
@@ -28,35 +27,6 @@ def _check_timestamps(rows: list[tuple[float, float]]) -> None:
             raise TraceError(f"timestamps must strictly increase ({previous} -> {current})")
 
 
-@dataclass(frozen=True)
-class TrainingRunMeta:
-    """What a training run cost and achieved; duration in hours."""
-
-    model_name: str
-    duration_hours: float
-    image_count: int
-    achieved_accuracy: float
-    q_threshold: float = DEFAULT_Q
-
-    def __post_init__(self) -> None:
-        if not 0 < self.duration_hours < math.inf:
-            raise ValueError(f"duration_hours must be finite and > 0, got {self.duration_hours!r}")
-        if self.image_count < 1:
-            raise ValueError("image_count must be >= 1")
-        check_probability("achieved_accuracy", self.achieved_accuracy)
-        check_probability("q_threshold", self.q_threshold)
-
-
-@dataclass(frozen=True)
-class EctiResult:
-    """Energy per training image; undefined when accuracy missed the threshold."""
-
-    model_name: str
-    kwh_per_image: float  # raw (duration/n) * e figure, always computed
-    defined: bool
-    achieved_accuracy: float
-
-
 def average_power(rows: list[tuple[float, float]]) -> float:
     """Time-weighted mean power of (timestamp s, watts) rows, in kW (trapezoid rule)."""
     _check_timestamps(rows)
@@ -71,25 +41,25 @@ def average_power(rows: list[tuple[float, float]]) -> float:
     return energy_joules / (rows[-1][0] - rows[0][0]) / 1000.0
 
 
-def compute_ecti(meta: TrainingRunMeta, average_power_kw: float) -> EctiResult:
-    """(duration_hours / image_count) * kW, defined only when P >= Q."""
-    if average_power_kw < 0:
-        raise ValueError("average power must be >= 0")
-    kwh_per_image = (meta.duration_hours / meta.image_count) * average_power_kw
+def ecti_row(meta: dict, average_power_kw: float, q: float | None = None) -> dict:
+    """One run's report row: ECTI = (training hours / image_count) * kW, always
+    computed, and defined only when the accuracy reaches q (the file's own q
+    unless one is given). ``meta`` is a record from ``load_run_meta``."""
+    kwh_per_image = meta["duration_s"] / 3600.0 / meta["image_count"] * average_power_kw
     if not kwh_per_image < math.inf:  # NaN fails this test too
         raise ValueError(f"energy per image is not a finite number ({kwh_per_image!r} kWh)")
-    return EctiResult(
-        model_name=meta.model_name,
-        kwh_per_image=kwh_per_image,
-        defined=meta.achieved_accuracy >= meta.q_threshold,
-        achieved_accuracy=meta.achieved_accuracy,
-    )
+    return {
+        "model": meta["model"],
+        "ecti_kwh_per_image": kwh_per_image,
+        "defined": meta["accuracy"] >= (meta["q"] if q is None else q),
+        "accuracy": meta["accuracy"],
+    }
 
 
-def select_model(results: list[EctiResult]) -> str | None:
-    """The lowest-energy model among those whose ECTI is defined, ties broken
+def select_model(rows: list[dict]) -> str | None:
+    """The lowest-energy model among the rows whose ECTI is defined, ties broken
     by name; None when no ECTI is defined."""
-    defined = [(r.kwh_per_image, r.model_name) for r in results if r.defined]
+    defined = [(row["ecti_kwh_per_image"], row["model"]) for row in rows if row["defined"]]
     return min(defined)[1] if defined else None
 
 
@@ -176,23 +146,32 @@ def load_thermal_csv(path: str) -> list[tuple[float, float]]:
     return _load_two_column_csv(path, ("timestamp_s", "celsius"))
 
 
-# Each run metadata field's JSON type: its test and its name. TrainingRunMeta
-# checks the values.
-_META_TYPES = {
-    "model": (lambda value: value.__class__ is str, "a string"),
-    "duration_s": (is_number, "a number"),
-    "image_count": (lambda value: value.__class__ is int, "an integer"),
-    "accuracy": (is_number, "a number"),
-    "q": (is_number, "a number"),
+def _meta_rule(rule: str, test):
+    """A field check that raises unless ``test(value)``: the value must be ``rule``."""
+    def check(name: str, value: object) -> None:
+        if not test(value):
+            raise ValueError(f"{name} must be {rule}, got {value!r}")
+    return check
+
+
+# Each run metadata field's one rule, for its JSON type and its range.
+_META_RULES = {
+    "model": _meta_rule("a string", lambda value: value.__class__ is str),
+    "duration_s": _meta_rule("a finite number > 0",
+                             lambda value: is_number(value) and 0 < value < math.inf),
+    "image_count": _meta_rule("an integer >= 1",
+                              lambda value: value.__class__ is int and value >= 1),
+    "accuracy": check_probability,
+    "q": check_probability,
 }
 
 
-def load_run_meta(path: str, q: float | None = None) -> TrainingRunMeta:
+def load_run_meta(path: str) -> dict:
     """Run metadata JSON: {model, duration_s, image_count, accuracy, q}; q is optional.
 
-    Each field must have its JSON type, and a number must fit a float;
-    nothing is coerced. A q given here replaces the file's own, which must
-    still be valid.
+    Returns the record, q defaulted, once each field has passed its rule:
+    a number must fit a float, and nothing is coerced. An error names the
+    file, the field and the value as written.
     """
     with open(path, encoding="utf-8-sig") as handle:
         try:
@@ -204,25 +183,16 @@ def load_run_meta(path: str, q: float | None = None) -> TrainingRunMeta:
     if not isinstance(record, dict):
         raise ValueError(f"{path}: run metadata must be a JSON object")
     record = {"q": DEFAULT_Q, **record}
-    for name, (test, json_type) in _META_TYPES.items():
+    for name, check in _META_RULES.items():
         if name not in record:
             raise ValueError(f"{path}: missing field {name!r}")
         value = record[name]
-        if not test(value):
-            raise ValueError(f"{path}: {name} must be {json_type}, got {value!r}")
-        if value.__class__ is int:
-            try:
+        try:
+            if value.__class__ is int:
                 float(value)
-            except OverflowError:
-                raise ValueError(f"{path}: {name} is too large for a float") from None
-    try:
-        meta = TrainingRunMeta(
-            model_name=record["model"],
-            duration_hours=record["duration_s"] / 3600.0,
-            image_count=record["image_count"],
-            achieved_accuracy=record["accuracy"],
-            q_threshold=record["q"],
-        )
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-    return meta if q is None else replace(meta, q_threshold=q)
+            check(name, value)
+        except OverflowError:
+            raise ValueError(f"{path}: {name} is too large for a float") from None
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    return record

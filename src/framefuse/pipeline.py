@@ -191,7 +191,7 @@ def _load_record(line: str, line_number: int) -> tuple[str, int, dict]:
     if end != len(line):
         try:
             record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:
+        except (ValueError, RecursionError) as exc:  # ValueError includes a >4300-digit int
             raise StreamSchemaError(line_number, f"invalid JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise StreamSchemaError(line_number, "record must be a JSON object")
@@ -243,15 +243,20 @@ def read_frame_streams(lines: Iterable[str]) -> dict[str, list[CategoryDistribut
 def read_lines(read: Callable[[int], bytes], size: int) -> Iterator[bytes]:
     """Yield the lines of what ``read(size)`` returns until it returns b"", split at b"\\n".
 
-    A line cut by a read is carried into the next one; a last line without
-    its newline is still yielded.
+    A line cut by reads is kept as its parts and joined once, when its
+    newline arrives, so a line of any length costs time linear in it; a last
+    line without its newline is still yielded.
     """
-    tail = b""
+    parts: list[bytes] = []
     while chunk := read(size):
-        lines = (tail + chunk).split(b"\n")
-        tail = lines.pop()
+        lines = chunk.split(b"\n")
+        if len(lines) > 1:
+            parts.append(lines[0])
+            lines[0] = b"".join(parts)
+            parts.clear()
+        parts.append(lines.pop())
         yield from lines
-    if tail:
+    if tail := b"".join(parts):
         yield tail
 
 

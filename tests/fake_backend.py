@@ -10,6 +10,7 @@ Speaks the JSON-lines wire protocol: hello/predict/train. Modes:
   --list-reply answer every predict with a JSON list, not an object
   --bad-utf8   answer every predict with a line that is not UTF-8
   --deep-reply answer every predict with 100 000 nested JSON lists
+  --huge-int   answer every predict with a score written as a 4301-digit integer
   --hang       answer the handshake, then read on but never answer a predict
 """
 
@@ -36,6 +37,7 @@ def main():
     parser.add_argument("--list-reply", action="store_true")
     parser.add_argument("--bad-utf8", action="store_true")
     parser.add_argument("--deep-reply", action="store_true")
+    parser.add_argument("--huge-int", action="store_true")
     parser.add_argument("--hang", action="store_true")
     args = parser.parse_args()
 
@@ -65,6 +67,10 @@ def main():
             reply = [reply["id"]]
         elif op == "predict" and args.deep_reply:
             sys.stdout.write("[" * 100_000 + "]" * 100_000 + "\n")
+            sys.stdout.flush()
+            continue
+        elif op == "predict" and args.huge_int:
+            sys.stdout.write('{"id": %d, "scores": {"Empty": 1%s}}\n' % (reply["id"], "0" * 4300))
             sys.stdout.flush()
             continue
         elif op == "predict" and args.bad_utf8:

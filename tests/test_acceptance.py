@@ -3,6 +3,7 @@ PASS line when its assertions hold. Run with `pytest -s tests/test_acceptance.py
 to see the per-criterion lines.
 """
 
+import json
 import random
 import time
 
@@ -10,7 +11,7 @@ import pytest
 
 from framefuse.backends import MemorizingBackend
 from framefuse.bayes import ClassifierProfile
-from framefuse.energy import TrainingRunMeta, compute_ecti, lifespan_reduction, select_model
+from framefuse.energy import ecti_row, lifespan_reduction, load_run_meta, select_model
 from framefuse.pipeline import StreamConfig
 from framefuse.training import Phase, TrainingSession, run_session
 
@@ -61,18 +62,12 @@ def test_pedestrian_table_reproduction():
 
 
 def test_energy_per_training_image():
-    vgg16 = compute_ecti(
-        TrainingRunMeta(model_name="VGG16", duration_hours=(97 * 60 + 44) / 3600,
-                        image_count=360, achieved_accuracy=0.9893),
-        0.01063,
-    )
-    resnet50 = compute_ecti(
-        TrainingRunMeta(model_name="ResNet50", duration_hours=(117 * 60 + 27) / 3600,
-                        image_count=330, achieved_accuracy=0.9279),
-        0.01059,
-    )
-    assert vgg16.kwh_per_image == pytest.approx(48.097e-6, rel=1e-3)
-    assert resnet50.kwh_per_image == pytest.approx(62.817e-6, rel=1e-3)
+    vgg16 = ecti_row({"model": "VGG16", "duration_s": 97 * 60 + 44, "image_count": 360,
+                      "accuracy": 0.9893, "q": 0.7}, 0.01063)
+    resnet50 = ecti_row({"model": "ResNet50", "duration_s": 117 * 60 + 27, "image_count": 330,
+                         "accuracy": 0.9279, "q": 0.7}, 0.01059)
+    assert vgg16["ecti_kwh_per_image"] == pytest.approx(48.097e-6, rel=1e-3)
+    assert resnet50["ecti_kwh_per_image"] == pytest.approx(62.817e-6, rel=1e-3)
     winner = select_model([vgg16, resnet50])  # both at the default Q of 0.7
     assert winner == "VGG16"
     report("energy per training image (48.097e-6 / 62.817e-6 kWh, VGG16 selected)")
@@ -184,14 +179,16 @@ def test_training_state_machine():
            "and exact refeed contents")
 
 
-def test_hardware_scale_figures_pass_through():
+def test_hardware_scale_figures_pass_through(tmp_path):
     # Published model accuracies and the on-device speedup depend on real CNN
     # training and the target board; here they are carried through untouched.
     for accuracy in (0.8125, 0.9893, 0.9279):
-        meta = TrainingRunMeta(model_name="m", duration_hours=1.0,
-                               image_count=10, achieved_accuracy=accuracy)
-        assert meta.achieved_accuracy == accuracy
-        assert compute_ecti(meta, 0.01).achieved_accuracy == accuracy
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps({"model": "m", "duration_s": 3600, "image_count": 10,
+                                    "accuracy": accuracy}))
+        meta = load_run_meta(path)
+        assert meta["accuracy"] == accuracy
+        assert ecti_row(meta, 0.01)["accuracy"] == accuracy
         profile = ClassifierProfile(model_name="m", p_cnn=accuracy)
         assert profile.p_cnn == accuracy
     report("hardware-scale accuracies are pass-through values, not recomputed")

@@ -159,13 +159,18 @@ json_values = st.recursive(
     | st.dictionaries(st.text(max_size=3), children, max_size=3),
     max_leaves=6,
 )
-# JSON number tokens that no Python value dumps to.
-json_tokens = json_values.map(json.dumps) | st.sampled_from(["1e400", "-1e400", "2.7", "1E2", "-0"])
+# JSON number tokens that no Python value dumps to, and integers of more
+# digits than int() reads.
+json_tokens = json_values.map(json.dumps) | st.sampled_from(
+    ["1e400", "-1e400", "2.7", "1E2", "-0", "1" + "0" * 4300, "-" + "9" * 5000])
 
 
 def allowed_token(token, rule):
     """Whether the README schema allows this JSON token as a frame_id or a score."""
-    value = json.loads(token)
+    try:
+        value = json.loads(token)
+    except ValueError:  # an integer of more than 4300 digits
+        return False
     if rule == "frame_id":
         return value.__class__ is int
     return value.__class__ in (int, float) and 0 <= value <= 1
@@ -350,7 +355,7 @@ class TestFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=fuzzed_inputs(), fmt=st.sampled_from(["jsonl", "csv"]))
-    def test_any_input_exits_ok_or_schema(self, data, fmt, tmp_path):
+    def test_any_input_exits_ok_or_schema(self, data, fmt, tmp_path, capsys):
         lines, verdict = data
         src = tmp_path / "frames.jsonl"
         # surrogatepass: a lone surrogate becomes bytes that are not UTF-8.
@@ -361,6 +366,8 @@ class TestFuzz:
             assert code in (0, 2)
         else:
             assert code == (0 if verdict else 2)
+        if code == 2:  # every bad input here is a bad line
+            assert capsys.readouterr().err.startswith("error: line ")
 
 
 # Labels with non-ASCII text, "%" (the encoder's template character), and the
@@ -1015,6 +1022,15 @@ def test_report_to_a_closed_pipe_exits_ok_without_a_message(command, fixtures_di
     assert (proc.returncode, proc.stderr) == (0, b"")
 
 
+@pytest.mark.parametrize("command", ["ecti", "thermal"])
+def test_report_loads_neither_dataclasses_nor_inspect(command, fixtures_dir, tmp_path):
+    out = tmp_path / "report.json"
+    modules = modules_after_run(*report_argv(command, fixtures_dir, tmp_path), "--output", str(out))
+    assert "framefuse.energy" in modules and json.loads(out.read_text())
+    unwanted = {"dataclasses", "inspect"}
+    assert unwanted.isdisjoint(modules), sorted(unwanted & modules)
+
+
 @pytest.mark.parametrize("command,argv,code,message", [
     ("predict-stream", ["--input", "{tmp}/missing.jsonl"], 2, "missing.jsonl"),
     ("predict-stream", ["--input", "{tmp}/deep.json"], 2, "line 1"),
@@ -1046,11 +1062,16 @@ def test_report_to_a_closed_pipe_exits_ok_without_a_message(command, fixtures_di
                "{tmp}/manifest.csv"], 2, "wide-manifest.csv: field larger than field limit"),
     ("predict-stream", ["--input", "{tmp}/manifest.csv", "--window", "-1"], 2,
      "capacity_n (the window) must be >= 0, got -1"),
+    ("predict-stream", ["--input", "{tmp}/huge-int.jsonl"], 2, "line 2: invalid JSON"),
+    ("train", ["--offline-manifest", "{tmp}/manifest.csv", "--crossval-manifest",
+               "{tmp}/manifest.csv", "--backend",
+               f"external:{sys.executable} {FAKE_BACKEND} --huge-int"], 4, "non-JSON reply"),
 ], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
         "train-missing", "train-deep-reply", "thermal-missing", "ecti-meta-not-json",
         "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1",
         "thermal-trace-not-utf8", "ecti-power-trace-not-utf8", "train-manifest-not-utf8",
-        "train-manifest-cell-over-csv-limit", "stream-negative-window"])
+        "train-manifest-cell-over-csv-limit", "stream-negative-window", "stream-huge-int",
+        "train-huge-int-reply"])
 def test_bad_input_exits_its_code_without_traceback(command, argv, code, message, fixtures_dir,
                                                     tmp_path):
     (tmp_path / "deep.json").write_text("[" * 100_000 + "\n")
@@ -1059,6 +1080,8 @@ def test_bad_input_exits_its_code_without_traceback(command, argv, code, message
     (tmp_path / "underscore.csv").write_text("timestamp_s,celsius\n0,7_0\n1, 8_0 \n")
     (tmp_path / "huge.json").write_text(
         f'{{"model": "m", "duration_s": {10**400}, "image_count": 360, "accuracy": 0.9}}')
+    (tmp_path / "huge-int.jsonl").write_text(
+        '\n{"stream_id": "s", "frame_id": 1%s, "scores": {"a": 1.0}}\n' % ("0" * 4300))
     (tmp_path / "manifest.csv").write_text("path,label\na.jpg,Fluid\nb.jpg,Jam\n")
     (tmp_path / "not-utf8.csv").write_bytes(b"timestamp_s,celsius\n0,69.5\n1,7\xff0\n")
     (tmp_path / "not-utf8-power.csv").write_bytes(b"timestamp_s,watts\n0,1\xff\n1,10\n")
@@ -1191,6 +1214,24 @@ class TestEctiCommand:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("duration_s", 0, "duration_s must be a finite number > 0, got 0"),
+        ("image_count", 0, "image_count must be an integer >= 1, got 0"),
+        ("accuracy", 1.5, "accuracy must be in (0, 1], got 1.5"),
+        ("q", 0, "q must be in (0, 1], got 0"),
+    ])
+    def test_meta_error_names_the_files_field_and_value(self, field, value, message,
+                                                        fixtures_dir, tmp_path, capsys):
+        meta_path = tmp_path / "meta.json"
+        meta_path.write_text(json.dumps(dict(VALID_META, **{field: value})))
+        assert run_cli("ecti", "--run", f"{meta_path},{fixtures_dir / 'vgg16_power.csv'}") == 2
+        assert capsys.readouterr().err == f"error: {meta_path}: {message}\n"
+
+    def test_q_is_checked_before_any_run_is_read(self, tmp_path, capsys):
+        run = f"{tmp_path / 'missing.json'},{tmp_path / 'missing.csv'}"
+        assert run_cli("ecti", "--run", run, "--q", "1.5") == 2
+        assert capsys.readouterr().err == "error: q_threshold must be in (0, 1], got 1.5\n"
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

@@ -1,13 +1,13 @@
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from framefuse.energy import (
-    EctiResult,
     TraceError,
-    TrainingRunMeta,
     average_power,
-    compute_ecti,
+    ecti_row,
     lifespan_reduction,
     load_power_csv,
     load_run_meta,
@@ -16,14 +16,15 @@ from framefuse.energy import (
     thermal_summary,
 )
 
-VGG16_META = TrainingRunMeta(
-    model_name="VGG16", duration_hours=(97 * 60 + 44) / 3600,
-    image_count=360, achieved_accuracy=0.9893,
-)
-RESNET50_META = TrainingRunMeta(
-    model_name="ResNet50", duration_hours=(117 * 60 + 27) / 3600,
-    image_count=330, achieved_accuracy=0.9279,
-)
+
+def run_meta(duration_s, image_count, accuracy=0.9, model="m", q=0.7):
+    """A run metadata record as load_run_meta returns it."""
+    return {"model": model, "duration_s": duration_s, "image_count": image_count,
+            "accuracy": accuracy, "q": q}
+
+
+VGG16_META = run_meta(97 * 60 + 44, 360, 0.9893, "VGG16")
+RESNET50_META = run_meta(117 * 60 + 27, 330, 0.9279, "ResNet50")
 
 
 def constant_trace(watts, seconds=600, step=10):
@@ -72,62 +73,57 @@ class TestAveragePower:
 
 class TestEcti:
     def test_published_vgg16_figure(self):
-        result = compute_ecti(VGG16_META, 0.01063)
-        assert result.defined
-        assert result.kwh_per_image == pytest.approx(48.097e-6, rel=1e-3)
+        row = ecti_row(VGG16_META, 0.01063)
+        assert row["defined"]
+        assert row["ecti_kwh_per_image"] == pytest.approx(48.097e-6, rel=1e-3)
 
     def test_published_resnet50_figure(self):
-        result = compute_ecti(RESNET50_META, 0.01059)
-        assert result.defined
-        assert result.kwh_per_image == pytest.approx(62.817e-6, rel=1e-3)
+        row = ecti_row(RESNET50_META, 0.01059)
+        assert row["defined"]
+        assert row["ecti_kwh_per_image"] == pytest.approx(62.817e-6, rel=1e-3)
 
     def test_below_threshold_is_undefined(self):
-        meta = TrainingRunMeta(model_name="m", duration_hours=1.0,
-                               image_count=10, achieved_accuracy=0.5)
-        result = compute_ecti(meta, 0.01)
-        assert not result.defined
-        assert select_model([result]) is None
-        assert result.kwh_per_image == pytest.approx(0.001)  # raw figure still carried
+        meta = run_meta(3600, 10, accuracy=0.5)
+        row = ecti_row(meta, 0.01)
+        assert not row["defined"]
+        assert select_model([row]) is None
+        assert row["ecti_kwh_per_image"] == pytest.approx(0.001)  # raw figure still carried
+        assert ecti_row(meta, 0.01, q=0.5)["defined"]  # a q given replaces the file's
 
     def test_unit_identity(self):
-        meta = TrainingRunMeta(model_name="m", duration_hours=1.0,
-                               image_count=1, achieved_accuracy=1.0)
-        assert compute_ecti(meta, 1.0).kwh_per_image == 1.0
+        assert ecti_row(run_meta(3600, 1, accuracy=1.0), 1.0)["ecti_kwh_per_image"] == 1.0
 
     @given(
-        duration=st.floats(0.01, 100), count=st.integers(1, 10_000),
+        duration=st.floats(36, 360_000), count=st.integers(1, 10_000),
         kw=st.floats(1e-6, 10),
     )
     def test_scaling_laws(self, duration, count, kw):
-        meta = TrainingRunMeta(model_name="m", duration_hours=duration,
-                               image_count=count, achieved_accuracy=0.9)
-        base = compute_ecti(meta, kw).kwh_per_image
-        doubled_images = TrainingRunMeta(model_name="m", duration_hours=duration,
-                                         image_count=2 * count, achieved_accuracy=0.9)
-        assert compute_ecti(doubled_images, kw).kwh_per_image == pytest.approx(base / 2)
-        assert compute_ecti(meta, 2 * kw).kwh_per_image == pytest.approx(base * 2)
-        doubled_time = TrainingRunMeta(model_name="m", duration_hours=2 * duration,
-                                       image_count=count, achieved_accuracy=0.9)
-        assert compute_ecti(doubled_time, kw).kwh_per_image == pytest.approx(base * 2)
+        def kwh(duration, count, kw):
+            return ecti_row(run_meta(duration, count), kw)["ecti_kwh_per_image"]
 
-    @pytest.mark.parametrize("hours", [float("nan"), float("inf"), 0.0])
-    def test_duration_must_be_finite_and_positive(self, hours):
-        with pytest.raises(ValueError, match="duration_hours must be finite and > 0"):
-            TrainingRunMeta(model_name="m", duration_hours=hours, image_count=1,
-                            achieved_accuracy=0.9)
+        base = kwh(duration, count, kw)
+        assert kwh(duration, 2 * count, kw) == pytest.approx(base / 2)
+        assert kwh(duration, count, 2 * kw) == pytest.approx(base * 2)
+        assert kwh(2 * duration, count, kw) == pytest.approx(base * 2)
+
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf"), 0.0, -1.5])
+    def test_duration_must_be_finite_and_positive(self, seconds, tmp_path):
+        path = tmp_path / "meta.json"
+        path.write_text(json.dumps(run_meta(seconds, 1)))
+        with pytest.raises(ValueError, match=r"duration_s must be a finite number > 0, got "
+                                             + repr(seconds)):
+            load_run_meta(path)
 
     @pytest.mark.parametrize("kw", [float("nan"), float("inf"), 1e308])
     def test_figure_must_be_finite(self, kw):
-        meta = TrainingRunMeta(model_name="m", duration_hours=1e300, image_count=1,
-                               achieved_accuracy=0.9)
         with pytest.raises(ValueError, match="not a finite number"):
-            compute_ecti(meta, kw)
+            ecti_row(run_meta(3.6e303, 1), kw)
 
 
-def ecti_results(candidates, q=0.7):
-    """EctiResults from (model_name, kwh_per_image, accuracy) triples, defined at q."""
-    return [EctiResult(model_name=name, kwh_per_image=kwh, defined=accuracy >= q,
-                       achieved_accuracy=accuracy)
+def ecti_rows(candidates, q=0.7):
+    """Report rows from (model, kwh_per_image, accuracy) triples, defined at q."""
+    return [{"model": name, "ecti_kwh_per_image": kwh, "defined": accuracy >= q,
+             "accuracy": accuracy}
             for name, kwh, accuracy in candidates]
 
 
@@ -135,20 +131,20 @@ class TestSelectModel:
     CANDIDATES = [("VGG16", 48.097e-6, 0.9893), ("ResNet50", 62.817e-6, 0.9279)]
 
     def test_picks_lowest_energy_qualifier(self):
-        assert select_model(ecti_results(self.CANDIDATES)) == "VGG16"
+        assert select_model(ecti_rows(self.CANDIDATES)) == "VGG16"
 
     def test_single_candidate(self):
-        assert select_model(ecti_results([("only", 1.0, 0.8)])) == "only"
+        assert select_model(ecti_rows([("only", 1.0, 0.8)])) == "only"
 
     def test_no_qualifier(self):
-        assert select_model(ecti_results([("a", 1.0, 0.5), ("b", 2.0, 0.6)])) is None
+        assert select_model(ecti_rows([("a", 1.0, 0.5), ("b", 2.0, 0.6)])) is None
 
     def test_unqualified_low_energy_model_skipped(self):
         candidates = [("cheap", 1e-6, 0.2)] + self.CANDIDATES
-        assert select_model(ecti_results(candidates)) == "VGG16"
+        assert select_model(ecti_rows(candidates)) == "VGG16"
 
     def test_tie_breaks_lexicographically(self):
-        assert select_model(ecti_results([("b", 1.0, 0.9), ("a", 1.0, 0.9)])) == "a"
+        assert select_model(ecti_rows([("b", 1.0, 0.9), ("a", 1.0, 0.9)])) == "a"
 
     @given(
         candidates=st.lists(
@@ -158,7 +154,7 @@ class TestSelectModel:
         )
     )
     def test_winner_is_never_beaten(self, candidates):
-        winner = select_model(ecti_results(candidates))
+        winner = select_model(ecti_rows(candidates))
         winner_ecti = min(e for n, e, _ in candidates if n == winner)
         assert all(winner_ecti <= e for _, e, _ in candidates)
 
@@ -232,9 +228,7 @@ class TestFileFormats:
 
     def test_meta_json(self, fixtures_dir):
         meta = load_run_meta(fixtures_dir / "vgg16_meta.json")
-        assert meta.model_name == "VGG16"
-        assert meta.duration_hours == pytest.approx(5864 / 3600)
-        assert meta.image_count == 360
+        assert meta == run_meta(5864, 360, 0.9893, "VGG16")
 
     def test_bad_header(self, tmp_path):
         bad = tmp_path / "p.csv"

@@ -1,4 +1,5 @@
 import json
+import time
 import warnings
 from json.encoder import encode_basestring_ascii
 
@@ -18,6 +19,7 @@ from framefuse.pipeline import (
     event_to_json,
     fold_lines,
     read_frame_streams,
+    read_lines,
 )
 
 from conftest import (
@@ -250,3 +252,15 @@ class TestWireFormats:
             label_set=label_set,
         )
         assert event_to_json(event) == json.dumps(event_to_dict(event), sort_keys=True) + "\n"
+
+
+def test_a_long_line_is_split_in_linear_time():
+    # 32 MiB in 8 KiB reads: ~0.03 s when each part is copied once, ~90 s
+    # when the carried part is copied on every read.
+    chunk = b"x" * 8192
+    reads = iter([chunk] * 4096 + [b"\nend", b""])
+    started = time.perf_counter()
+    lines = list(read_lines(lambda size: next(reads), 8192))
+    elapsed = time.perf_counter() - started
+    assert [len(line) for line in lines] == [32 * 2**20, 3]
+    assert elapsed < 5.0

@@ -68,6 +68,7 @@ class TestExternalBackend:
         ("--list-reply", "not a JSON object"),
         ("--bad-utf8", "not UTF-8"),
         ("--deep-reply", "nested too deep"),
+        ("--huge-int", "non-JSON reply"),
     ])
     def test_reply_that_is_not_a_utf8_json_object_is_a_protocol_error(self, flag, message):
         with closing(ExternalBackend(backend_command(flag))) as backend:
