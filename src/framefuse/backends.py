@@ -1,7 +1,7 @@
 """Classifier backends: in-process synthetic models and the wire-protocol client.
 
 A backend answers ``predict(ref) -> {label: score}`` and
-``train(items) -> count``. The synthetic backends exist so the training
+``train(items)``. The synthetic backends exist so the training
 loop can be driven deterministically; the external backend speaks
 a JSON-lines protocol to a subprocess serving a real model.
 """
@@ -14,6 +14,7 @@ import os
 import selectors
 import shlex
 import subprocess
+import sys
 import time
 from collections.abc import Collection, Sequence
 
@@ -71,10 +72,9 @@ class MemorizingBackend:
         self.labels = list(labels)
         self._memory: dict[str, str] = {}
 
-    def train(self, items: Sequence[LabeledItem]) -> int:
+    def train(self, items: Sequence[LabeledItem]) -> None:
         for ref, label in items:
             self._memory[ref] = label
-        return len(items)
 
     def predict(self, ref: str) -> dict[str, float]:
         label = self._memory.get(ref)
@@ -144,8 +144,11 @@ class ExternalBackend:
             raise ProtocolError(f"reply is not UTF-8: {exc}") from exc
         try:
             reply = json.loads(line)
-        except ValueError as exc:  # JSONDecodeError, or an integer of over 4300 digits
+        except json.JSONDecodeError as exc:
             raise ProtocolError(f"non-JSON reply: {line!r}") from exc
+        except ValueError as exc:  # valid JSON that int() refuses to convert
+            raise ProtocolError(f"reply to request {request['id']} holds an integer of more "
+                                f"than {sys.get_int_max_str_digits()} digits") from exc
         except RecursionError as exc:
             raise ProtocolError(f"reply to request {request['id']} is nested too deep") from exc
         if not isinstance(reply, dict):
@@ -158,13 +161,12 @@ class ExternalBackend:
             raise BackendError(f"backend error: {reply['error']}")
         return reply
 
-    def train(self, items: Sequence[LabeledItem]) -> int:
+    def train(self, items: Sequence[LabeledItem]) -> None:
         reply = self._call(
             {"op": "train", "items": [{"image": ref, "label": label} for ref, label in items]}
         )
         if not reply.get("ok"):
             raise BackendError(f"train not acknowledged: {reply}")
-        return len(items)
 
     def predict(self, ref: str) -> dict[str, float]:
         reply = self._call({"op": "predict", "image": ref})

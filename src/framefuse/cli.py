@@ -186,7 +186,7 @@ def cmd_ecti(args: argparse.Namespace) -> int:
     from . import energy
 
     if args.q is not None:
-        check_probability("q_threshold", args.q)
+        check_probability("q", args.q)
     rows = []
     for run in args.run:
         meta_path, _, power_path = run.partition(",")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 import operator
+import sys
 import warnings
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
@@ -36,11 +37,10 @@ class OutOfOrderFrameError(ValueError):
 
 
 class StreamSchemaError(ValueError):
-    """Malformed frame record; carries the 1-based input line number."""
+    """Malformed frame record; the message starts with the 1-based input line number."""
 
     def __init__(self, line_number: int, message: str):
         super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
 
 
 class _LabelSet:
@@ -191,8 +191,12 @@ def _load_record(line: str, line_number: int) -> tuple[str, int, dict]:
     if end != len(line):
         try:
             record = json.loads(line)
-        except (ValueError, RecursionError) as exc:  # ValueError includes a >4300-digit int
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise StreamSchemaError(line_number, f"invalid JSON: {exc}") from exc
+        except ValueError as exc:  # valid JSON that int() refuses to convert
+            raise StreamSchemaError(
+                line_number, f"an integer has more than {sys.get_int_max_str_digits()} digits"
+            ) from exc
     if not isinstance(record, dict):
         raise StreamSchemaError(line_number, "record must be a JSON object")
     try:

@@ -1,125 +1,115 @@
 """Hybrid training loop over an abstract classifier backend.
 
-Offline training, then cross-validation that stacks the misses for
-refeeding; while the accuracy is below the quality threshold and retrain
-rounds remain, the backend trains on the refeed stack and the set is
-validated again. The backend is any object with ``train(items) -> count``
-and ``predict(ref) -> {label: score}``: synthetic in-process or external
-over the wire protocol.
+Offline training, then cross-validation that collects the misses; while the
+accuracy is below the quality threshold and retrain rounds remain, the
+backend trains on those misses and the set is validated again. The backend
+is any object with ``train(items)`` and ``predict(ref) -> {label: score}``:
+synthetic in-process or external over the wire protocol.
 """
 
 from __future__ import annotations
 
 import csv
 import enum
-from dataclasses import dataclass, field
 
 from .backends import BackendError, LabeledItem
 from .bayes import DEFAULT_Q, argmax_label, check_probability
 
 
 class Phase(enum.Enum):
+    """The phase a backend call falls in; run_session sets it before the calls."""
+
     OFFLINE = "offline"
     ONLINE_VALIDATION = "online_validation"
     RETRAIN = "retrain"
-    DONE = "done"
 
 
 class ManifestError(ValueError):
     """Dataset manifest is malformed."""
 
 
-@dataclass
 class TrainingSession:
-    """Settings and mutable state of one training run."""
+    """Settings of one training run, and the phase, accuracies and rounds
+    ``run_session`` writes as it goes."""
 
-    offline_set: list[LabeledItem]
-    crossval_set: list[LabeledItem]
-    q_threshold: float = DEFAULT_Q
-    max_retrain_rounds: int = 1
-    phase: Phase = field(init=False, default=Phase.OFFLINE)
-    refeed_stack: list[LabeledItem] = field(init=False, default_factory=list)
-    accuracy_history: list[float] = field(init=False, default_factory=list)
-    retrain_rounds_used: int = field(init=False, default=0)
-    quality_met: bool | None = field(init=False, default=None)
+    __slots__ = ("offline_set", "crossval_set", "q_threshold", "max_retrain_rounds",
+                 "phase", "accuracy_history", "retrain_rounds_used")
 
-    def __post_init__(self) -> None:
-        if not self.offline_set:
+    def __init__(self, offline_set: list[LabeledItem], crossval_set: list[LabeledItem],
+                 q_threshold: float = DEFAULT_Q, max_retrain_rounds: int = 1):
+        if not offline_set:
             raise ValueError("offline_set must be non-empty")
-        if not self.crossval_set:
+        if not crossval_set:
             raise ValueError("crossval_set must be non-empty")
-        check_probability("q_threshold", self.q_threshold)
-        if self.max_retrain_rounds < 0:
-            raise ValueError(f"max_retrain_rounds must be >= 0, got {self.max_retrain_rounds}")
+        check_probability("q", q_threshold)
+        if max_retrain_rounds < 0:
+            raise ValueError(f"max_retrain_rounds must be >= 0, got {max_retrain_rounds}")
+        self.offline_set = offline_set
+        self.crossval_set = crossval_set
+        self.q_threshold = q_threshold
+        self.max_retrain_rounds = max_retrain_rounds
+        self.phase = Phase.OFFLINE
+        self.accuracy_history: list[float] = []
+        self.retrain_rounds_used = 0
 
-    @property
-    def final_accuracy(self) -> float | None:
-        return self.accuracy_history[-1] if self.accuracy_history else None
 
-    @property
-    def best_accuracy(self) -> float | None:
-        return max(self.accuracy_history) if self.accuracy_history else None
-
-
-def _validate(session: TrainingSession, backend) -> float:
-    """Predict each cross-validation item once; stack the misses, record the accuracy."""
-    session.refeed_stack = []
+def _validate(session: TrainingSession, backend) -> list[LabeledItem]:
+    """Predict each cross-validation item once and record the accuracy;
+    return the misses in the order met."""
+    misses = []
     correct = 0
     for ref, true_label in session.crossval_set:
         try:
             predicted, _ = argmax_label(backend.predict(ref))
         except BackendError as exc:
-            done = correct + len(session.refeed_stack)
             raise BackendError(
-                f"backend failed mid-validation after {done} of "
+                f"backend failed mid-validation after {correct + len(misses)} of "
                 f"{len(session.crossval_set)} items ({correct} correct): {exc}"
             ) from exc
         if predicted == true_label:
             correct += 1
         else:
-            session.refeed_stack.append((ref, true_label))
-    accuracy = correct / len(session.crossval_set)
-    session.accuracy_history.append(accuracy)
-    return accuracy
+            misses.append((ref, true_label))
+    session.accuracy_history.append(correct / len(session.crossval_set))
+    return misses
 
 
 def run_session(session: TrainingSession, backend) -> TrainingSession:
-    """Train offline, then refeed the misses and validate again until Q holds.
+    """Train offline, then retrain on the misses and validate again until Q holds.
 
-    Each retrain round trains on the refeed stack and validates once, up to
-    ``max_retrain_rounds`` rounds.
+    Each retrain round trains on the last validation's misses and validates
+    once, up to ``max_retrain_rounds`` rounds.
     """
     try:
         backend.train(session.offline_set)
     except BackendError as exc:
         raise BackendError(f"offline training failed: {exc}") from exc
     session.phase = Phase.ONLINE_VALIDATION
-    accuracy = _validate(session, backend)
-    while (accuracy < session.q_threshold
+    misses = _validate(session, backend)
+    while (session.accuracy_history[-1] < session.q_threshold
            and session.retrain_rounds_used < session.max_retrain_rounds):
         session.phase = Phase.RETRAIN
         session.retrain_rounds_used += 1
         try:
-            backend.train(session.refeed_stack)
+            backend.train(misses)
         except BackendError as exc:
             raise BackendError(
                 f"retrain round {session.retrain_rounds_used} training failed: {exc}") from exc
-        accuracy = _validate(session, backend)
-    session.quality_met = accuracy >= session.q_threshold
-    session.phase = Phase.DONE
+        misses = _validate(session, backend)
     return session
 
 
 def session_report(session: TrainingSession) -> dict:
+    """The report of a session that ``run_session`` has run."""
+    history = session.accuracy_history
     return {
-        "phases": ([Phase.OFFLINE.value, Phase.ONLINE_VALIDATION.value]
-                   + [Phase.RETRAIN.value] * session.retrain_rounds_used
-                   + [Phase.DONE.value]),
-        "accuracy_history": session.accuracy_history,
-        "final_accuracy": session.final_accuracy,
-        "best_accuracy": session.best_accuracy,
+        "phases": (["offline", "online_validation"]
+                   + ["retrain"] * session.retrain_rounds_used + ["done"]),
+        "accuracy_history": history,
+        "final_accuracy": history[-1],
+        "best_accuracy": max(history),
         "retrain_rounds_used": session.retrain_rounds_used,
-        "quality_met": bool(session.quality_met),
+        "quality_met": history[-1] >= session.q_threshold,
         "q_threshold": session.q_threshold,
     }
 

@@ -29,10 +29,9 @@ class ScriptedAccuracyBackend:
         self._ordered_refs = sorted(self.truth)
         self._pick_wrong_refs()
 
-    def train(self, items: Sequence[LabeledItem]) -> int:
+    def train(self, items: Sequence[LabeledItem]) -> None:
         self.train_calls += 1
         self._pick_wrong_refs()
-        return len(items)
 
     def _pick_wrong_refs(self) -> None:
         """Fix this round's wrong refs; accuracy changes only when train() runs."""

@@ -13,7 +13,7 @@ from framefuse.backends import MemorizingBackend
 from framefuse.bayes import ClassifierProfile
 from framefuse.energy import ecti_row, lifespan_reduction, load_run_meta, select_model
 from framefuse.pipeline import StreamConfig
-from framefuse.training import Phase, TrainingSession, run_session
+from framefuse.training import TrainingSession, run_session, session_report
 
 from conftest import (
     TABLE1_EXPECTED,
@@ -152,29 +152,32 @@ def test_training_state_machine():
     labels = ["Empty", "Fluid", "Heavy", "Jam"]
     items = [(f"img{i:03d}", labels[i % 4]) for i in range(100)]
 
-    memorizing = MemorizingBackend(labels)
-    session = TrainingSession(offline_set=items, crossval_set=items)
-    run_session(session, memorizing)
-    assert session.phase is Phase.DONE and session.quality_met
-    assert session.final_accuracy == 1.0
+    def run(backend):
+        return session_report(run_session(TrainingSession(offline_set=items, crossval_set=items),
+                                          backend))
 
-    improving = ScriptedAccuracyBackend(dict(items), labels, schedule=[0.65, 0.9])
-    session = TrainingSession(offline_set=items, crossval_set=items)
-    run_session(session, improving)
-    assert session.quality_met and session.retrain_rounds_used == 1
-    assert session.final_accuracy == pytest.approx(0.9)
+    result = run(MemorizingBackend(labels))
+    assert result["phases"][-1] == "done" and result["quality_met"]
+    assert result["final_accuracy"] == 1.0
 
-    stuck = ScriptedAccuracyBackend(dict(items), labels, schedule=[0.5])
-    session = TrainingSession(offline_set=items, crossval_set=items)
-    run_session(session, stuck)
-    assert session.quality_met is False
-    assert session.best_accuracy == pytest.approx(0.5)
+    result = run(ScriptedAccuracyBackend(dict(items), labels, schedule=[0.65, 0.9]))
+    assert result["quality_met"] and result["retrain_rounds_used"] == 1
+    assert result["final_accuracy"] == pytest.approx(0.9)
 
-    # refeed stack contents equal the wrong-prediction set exactly
-    checker = ScriptedAccuracyBackend(dict(items), labels, schedule=[0.65])
-    session = TrainingSession(offline_set=items, crossval_set=items, max_retrain_rounds=0)
-    run_session(session, checker)
-    assert {ref for ref, _ in session.refeed_stack} == set(checker.wrong_refs())
+    result = run(ScriptedAccuracyBackend(dict(items), labels, schedule=[0.5]))
+    assert result["quality_met"] is False
+    assert result["best_accuracy"] == pytest.approx(0.5)
+
+    # the retrain round trains on exactly the wrong predictions, in crossval order
+    class Checker(ScriptedAccuracyBackend):
+        def train(self, items):
+            self.trained = list(items)
+            super().train(items)
+
+    checker = Checker(dict(items), labels, schedule=[0.65])
+    wrong = set(checker.wrong_refs())
+    run(checker)
+    assert checker.trained == [(ref, label) for ref, label in items if ref in wrong]
     report("training state machine: memorizing / improving / stuck backends "
            "and exact refeed contents")
 

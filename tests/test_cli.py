@@ -913,7 +913,8 @@ class TestTrain:
                                     "--crossval-manifest", str(crossval),
                                     "--backend", "synthetic", "--output", str(report))
         assert json.loads(report.read_text())["quality_met"] is True
-        assert {"typing", "pathlib"}.isdisjoint(modules), sorted({"typing", "pathlib"} & modules)
+        unwanted = {"typing", "pathlib", "dataclasses", "inspect"}
+        assert unwanted.isdisjoint(modules), sorted(unwanted & modules)
 
     @pytest.mark.parametrize("backend,code,stderr", [
         (f"{sys.executable} {FAKE_BACKEND} --hang", 4,
@@ -987,6 +988,65 @@ class TestTrain:
             "error: retrain round 1 training failed: connection reset\n")
 
 
+SYNTHETIC_REPORT = """\
+{
+  "accuracy_history": [
+    0.6666666666666666,
+    1.0
+  ],
+  "best_accuracy": 1.0,
+  "final_accuracy": 1.0,
+  "phases": [
+    "offline",
+    "online_validation",
+    "retrain",
+    "done"
+  ],
+  "q_threshold": 0.7,
+  "quality_met": true,
+  "retrain_rounds_used": 1
+}
+"""
+
+WRONG_REPORT = """\
+{
+  "accuracy_history": [
+%s
+  ],
+  "best_accuracy": 0.3333333333333333,
+  "final_accuracy": 0.3333333333333333,
+  "phases": [
+    "offline",
+    "online_validation",
+%s    "done"
+  ],
+  "q_threshold": 0.7,
+  "quality_met": false,
+  "retrain_rounds_used": %d
+}
+"""
+
+
+@pytest.mark.parametrize("backend,rounds,code,stdout", [
+    ("synthetic", 1, 0, SYNTHETIC_REPORT),
+    *((f"external:{sys.executable} {FAKE_BACKEND} --wrong", rounds, 3, WRONG_REPORT % (
+        ",\n".join(["    0.3333333333333333"] * (1 + rounds)), '    "retrain",\n' * rounds, rounds))
+      for rounds in (0, 1, 2)),
+], ids=["synthetic-pass", "wrong-0-rounds", "wrong-1-round", "wrong-2-rounds"])
+def test_train_report_bytes(backend, rounds, code, stdout, tmp_path):
+    """The whole report as train writes it: key order, float text and phases.
+    The synthetic backend misses the crossval item it never trained on (a
+    uniform answer picks "Empty"), then learns it in one retrain; --wrong
+    always answers "Empty"."""
+    offline, crossval = tmp_path / "offline.csv", tmp_path / "crossval.csv"
+    offline.write_text("path,label\na.jpg,Empty\nb.jpg,Fluid\n")
+    crossval.write_text("path,label\na.jpg,Empty\nb.jpg,Fluid\nc.jpg,Jam\n")
+    proc = run_in_child("train", "--offline-manifest", str(offline),
+                        "--crossval-manifest", str(crossval), "--backend", backend,
+                        "--max-retrain-rounds", str(rounds), "--output", "-")
+    assert (proc.returncode, proc.stderr, proc.stdout.decode()) == (code, b"", stdout)
+
+
 def report_argv(command, fixtures_dir, tmp_path):
     """The arguments of a report command that exits 0 on the fixtures."""
     manifest = tmp_path / "manifest.csv"
@@ -1050,7 +1110,7 @@ def test_report_loads_neither_dataclasses_nor_inspect(command, fixtures_dir, tmp
     ("thermal", ["--trace", "{tmp}/underscore.csv", "--baseline-temp", "69.24"], 2,
      "underscore.csv: line 2: '7_0' is not a JSON number"),
     ("ecti", ["--run", "{fixtures}/vgg16_meta.json,{fixtures}/vgg16_power.csv", "--q", "1.5"], 2,
-     "q_threshold"),
+     "error: q must be in (0, 1], got 1.5\n"),
     ("thermal", ["--trace", "{tmp}/not-utf8.csv", "--baseline-temp", "69.24"], 2,
      "not-utf8.csv: line 3: not UTF-8: 'utf-8' codec can't decode byte 0xff"),
     ("ecti", ["--run", "{fixtures}/vgg16_meta.json,{tmp}/not-utf8-power.csv"], 2,
@@ -1062,10 +1122,12 @@ def test_report_loads_neither_dataclasses_nor_inspect(command, fixtures_dir, tmp
                "{tmp}/manifest.csv"], 2, "wide-manifest.csv: field larger than field limit"),
     ("predict-stream", ["--input", "{tmp}/manifest.csv", "--window", "-1"], 2,
      "capacity_n (the window) must be >= 0, got -1"),
-    ("predict-stream", ["--input", "{tmp}/huge-int.jsonl"], 2, "line 2: invalid JSON"),
+    ("predict-stream", ["--input", "{tmp}/huge-int.jsonl"], 2,
+     "error: line 2: an integer has more than 4300 digits\n"),
     ("train", ["--offline-manifest", "{tmp}/manifest.csv", "--crossval-manifest",
                "{tmp}/manifest.csv", "--backend",
-               f"external:{sys.executable} {FAKE_BACKEND} --huge-int"], 4, "non-JSON reply"),
+               f"external:{sys.executable} {FAKE_BACKEND} --huge-int"], 4,
+     "reply to request 2 holds an integer of more than 4300 digits\n"),
 ], ids=["stream-missing", "stream-deep", "ecti-missing", "ecti-deep-meta", "ecti-huge-int",
         "train-missing", "train-deep-reply", "thermal-missing", "ecti-meta-not-json",
         "ecti-meta-not-utf8", "thermal-underscore-cell", "ecti-q-above-1",
@@ -1231,7 +1293,7 @@ class TestEctiCommand:
     def test_q_is_checked_before_any_run_is_read(self, tmp_path, capsys):
         run = f"{tmp_path / 'missing.json'},{tmp_path / 'missing.csv'}"
         assert run_cli("ecti", "--run", run, "--q", "1.5") == 2
-        assert capsys.readouterr().err == "error: q_threshold must be in (0, 1], got 1.5\n"
+        assert capsys.readouterr().err == "error: q must be in (0, 1], got 1.5\n"
 
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])

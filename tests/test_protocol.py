@@ -9,7 +9,7 @@ import pytest
 
 from framefuse import backends
 from framefuse.backends import BackendError, ExternalBackend, ProtocolError
-from framefuse.training import TrainingSession, run_session
+from framefuse.training import TrainingSession, run_session, session_report
 
 FAKE_BACKEND = Path(__file__).resolve().parent / "fake_backend.py"
 
@@ -53,7 +53,9 @@ class TestExternalBackend:
 
     def test_empty_train_is_acknowledged_noop(self):
         with closing(ExternalBackend(backend_command())) as backend:
-            assert backend.train([]) == 0
+            backend.train([])
+            scores = backend.predict("a.jpg")  # nothing learned: the first label
+            assert max(scores, key=scores.get) == "Empty"
 
     def test_version_mismatch_rejected(self):
         with pytest.raises(ProtocolError):
@@ -68,7 +70,7 @@ class TestExternalBackend:
         ("--list-reply", "not a JSON object"),
         ("--bad-utf8", "not UTF-8"),
         ("--deep-reply", "nested too deep"),
-        ("--huge-int", "non-JSON reply"),
+        ("--huge-int", "reply to request 1 holds an integer of more than 4300 digits"),
     ])
     def test_reply_that_is_not_a_utf8_json_object_is_a_protocol_error(self, flag, message):
         with closing(ExternalBackend(backend_command(flag))) as backend:
@@ -110,8 +112,9 @@ class TestExternalBackend:
         session = TrainingSession(offline_set=items, crossval_set=items)
         with closing(ExternalBackend(backend_command())) as backend:
             run_session(session, backend)
-        assert session.quality_met is True
-        assert session.final_accuracy == 1.0
+        report = session_report(session)
+        assert report["quality_met"] is True
+        assert report["final_accuracy"] == 1.0
 
 
 class TestWireConformance:

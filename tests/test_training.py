@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 from framefuse.backends import MemorizingBackend
 from framefuse.training import (
     ManifestError,
-    Phase,
     TrainingSession,
     load_manifest,
     run_session,
@@ -39,6 +38,31 @@ def validate_once(backend, crossval_set, offline_set=None):
     return run_session(session, backend)
 
 
+class TrainRecorder:
+    """Backend proxy that records the items each train call receives."""
+
+    def __init__(self, inner):
+        self.inner, self.trained = inner, []
+
+    def train(self, items):
+        self.trained.append(list(items))
+        self.inner.train(items)
+
+    def predict(self, ref):
+        return self.inner.predict(ref)
+
+
+def retrain_once(backend, crossval_set, offline_set=None):
+    """Run a session whose first validation misses Q; return it and the
+    items its one retrain call received."""
+    session = fresh_session(offline_set=offline_set or labeled_items(12, "train"),
+                            crossval_set=crossval_set)
+    recorder = TrainRecorder(backend)
+    run_session(session, recorder)
+    assert session.retrain_rounds_used == 1 and len(recorder.trained) == 2
+    return session, recorder.trained[1]
+
+
 class PhaseRecorder:
     """Backend proxy that logs each call as op@phase, read from the session."""
 
@@ -66,42 +90,35 @@ class TestOffline:
         with pytest.raises(ValueError):
             fresh_session(offline_set=[])
 
-    def test_train_acknowledges_item_count(self):
-        backend = MemorizingBackend(LABELS)
-        assert backend.train(labeled_items(360)) == 360
-
 
 class TestOnlineValidation:
     def test_high_accuracy_finishes(self):
         crossval = labeled_items(100, "cv")
         session = validate_once(scripted_backend(crossval, [0.93]), crossval)
         assert session.accuracy_history[0] == pytest.approx(0.93)
-        assert session.phase is Phase.DONE
-        assert session.quality_met is True
-        assert len(session.refeed_stack) == 7
+        report = session_report(session)
+        assert report["phases"][-1] == "done"
+        assert report["quality_met"] is True
 
     def test_low_accuracy_requests_retrain(self):
         crossval = labeled_items(100, "cv")
         session = validate_once(scripted_backend(crossval, [0.65]), crossval)
-        assert session.quality_met is False
-        assert len(session.refeed_stack) == 35
+        assert session_report(session)["quality_met"] is False
+        _, retrained = retrain_once(scripted_backend(crossval, [0.65, 0.9]), crossval)
+        assert len(retrained) == 35
 
-    def test_stack_contents_and_pop_order(self):
+    def test_retrain_receives_the_misses_in_encounter_order(self):
         crossval = labeled_items(100, "cv")
-        backend = scripted_backend(crossval, [0.65])
-        session = validate_once(backend, crossval)
+        backend = scripted_backend(crossval, [0.65, 0.9])
         wrong = set(backend.wrong_refs())
-        assert {ref for ref, _ in session.refeed_stack} == wrong
-        encounter_order = [ref for ref, _ in session.crossval_set if ref in wrong]
-        popped = [session.refeed_stack.pop()[0] for _ in range(len(encounter_order))]
-        assert popped == list(reversed(encounter_order))
+        _, retrained = retrain_once(backend, crossval)
+        assert retrained == [(ref, label) for ref, label in crossval if ref in wrong]
 
     def test_perfect_backend(self):
         crossval = labeled_items(100, "cv")
         session = validate_once(MemorizingBackend(LABELS), crossval, offline_set=crossval)
         assert session.accuracy_history == [1.0]
-        assert session.refeed_stack == []
-        assert session.phase is Phase.DONE
+        assert session_report(session)["phases"][-1] == "done"
 
 
 class TestRetrain:
@@ -109,19 +126,21 @@ class TestRetrain:
         session = fresh_session()
         backend = scripted_backend(session.crossval_set, [0.65, 0.9])
         run_session(session, backend)
-        assert session.phase is Phase.DONE
-        assert session.quality_met is True
+        report = session_report(session)
+        assert report["phases"][-1] == "done"
+        assert report["quality_met"] is True
         assert session.retrain_rounds_used == 1
-        assert session.final_accuracy == pytest.approx(0.9)
+        assert report["final_accuracy"] == pytest.approx(0.9)
 
     def test_stuck_backend_reports_quality_not_met(self):
         session = fresh_session(max_retrain_rounds=2)
         backend = scripted_backend(session.crossval_set, [0.5])
         run_session(session, backend)
-        assert session.phase is Phase.DONE
-        assert session.quality_met is False
+        report = session_report(session)
+        assert report["phases"][-1] == "done"
+        assert report["quality_met"] is False
         assert session.retrain_rounds_used == 2
-        assert session.best_accuracy == pytest.approx(0.5)
+        assert report["best_accuracy"] == pytest.approx(0.5)
         assert session.accuracy_history == [pytest.approx(0.5)] * 3
 
     def test_calls_are_tagged_with_their_phase(self):
@@ -141,13 +160,13 @@ class TestEvaluateAccuracy:
 
     def test_half_correct(self):
         items = labeled_items(10)
-        session = validate_once(MemorizingBackend(LABELS), items, offline_set=items[:5])
+        session, retrained = retrain_once(MemorizingBackend(LABELS), items, offline_set=items[:5])
         # untrained refs answer uniformly; tie-break picks "Empty", so only
         # the trained half is guaranteed correct plus any lucky Empty items
         wrong = [item for item in items[5:] if item[1] != "Empty"]
         expected = (10 - len(wrong)) / 10
         assert session.accuracy_history[0] == pytest.approx(expected)
-        assert session.refeed_stack == wrong
+        assert retrained == wrong
 
     def test_accuracy_close_to_publishable_ratio(self):
         # 93 of 94 correct reproduces a 98.93%-style accuracy from counts
@@ -161,10 +180,11 @@ class TestEvaluateAccuracy:
 
     def test_measurement_is_pure(self):
         items = labeled_items(50)
-        backend = scripted_backend(items, [0.8])
-        first, second = validate_once(backend, items), validate_once(backend, items)
+        backend = scripted_backend(items, [0.6])
+        (first, first_misses), (second, second_misses) = (retrain_once(backend, items),
+                                                          retrain_once(backend, items))
         assert first.accuracy_history == second.accuracy_history
-        assert first.refeed_stack == second.refeed_stack
+        assert first_misses == second_misses
 
 
 class TestStateMachine:
@@ -192,12 +212,13 @@ class TestStateMachine:
             for r in range(1 + k)
         ]
         # threshold gate: finishing cleanly implies the last accuracy made Q
-        if session.quality_met:
-            assert session.final_accuracy >= session.q_threshold
+        report = session_report(session)
+        if report["quality_met"]:
+            assert report["final_accuracy"] >= session.q_threshold
             # the loop stops at the first round that reaches Q
             assert all(a < session.q_threshold for a in session.accuracy_history[:-1])
         else:
-            assert session.best_accuracy < session.q_threshold
+            assert report["best_accuracy"] < session.q_threshold
             assert k == max_rounds
 
 
